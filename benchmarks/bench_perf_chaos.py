@@ -20,9 +20,7 @@ Enforced gates (also recorded under ``gates`` in the document):
   probes exonerate innocent bystander chunks, so nothing else is lost;
 * every once-only injection fired exactly per plan, the watchdog caught
   the hang, and the merge error was retried;
-* no ``.wchunk-*`` sidecar wreckage survives the run;
-* the disabled supervisor's estimated dispatch overhead stays under 2 %
-  of a chunk's duration.
+* no ``.wchunk-*`` sidecar wreckage survives the run.
 
 Gates without a meaningful reading for the chosen injection plan are
 recorded under ``gates_skipped`` with the reason.

@@ -37,7 +37,7 @@ def test_perf_crawl_report(benchmark):
     write_report(report, REPORT_PATH)
 
     crawl = report["crawl"]
-    assert set(crawl) == {"serial", "thread", "process"}
+    assert set(crawl) == {"serial", "process"}
     for timing in crawl.values():
         assert timing["seconds"] > 0
 

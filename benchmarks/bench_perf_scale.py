@@ -1,5 +1,5 @@
-"""Benchmark: paper-scale crawls — sharding, streaming storage, bounded
-memory.
+"""Benchmark: paper-scale crawls — process backend, streaming storage,
+bounded memory.
 
 Writes ``BENCH_scale.json`` at the repository root (CI uploads it as an
 artifact).  Each tier runs crawl → export → summarize with every phase in
@@ -16,8 +16,8 @@ Enforced gates (also recorded under ``gates`` in the document):
 * the store stage (writer-thread CPU inside the store lock) stays at or
   below 25 % of crawl wall time — batched transactions, not per-visit
   commits;
-* the sharded crawl's streamed export is byte-identical (SHA-256) to an
-  unsharded crawl's at the smallest tier;
+* the process crawl's streamed export is byte-identical (SHA-256) to a
+  serial crawl's at the smallest tier;
 * the policy engine's structural decision memo hits on > 50 % of explain
   decisions over the 500-site calibration crawl, with the streaming
   summary field-identical to the materialized one;
@@ -73,9 +73,9 @@ def test_perf_scale_report(benchmark):
 
     identity = [tier["identity"] for tier in report["tiers"]
                 if "identity" in tier]
-    assert identity, "no tier ran the sharded-vs-unsharded identity check"
+    assert identity, "no tier ran the process-vs-serial identity check"
     assert all(entry["identical"] for entry in identity), \
-        "sharded crawl's export diverged from the unsharded crawl's"
+        "process crawl's export diverged from the serial crawl's"
 
     memo = report["memo"]
     assert memo["hit_rate"] > MEMO_RATE_BOUND, (
@@ -87,7 +87,7 @@ def test_perf_scale_report(benchmark):
     gates = report["gates"]
     assert all(gates[key] for key in (
         "peak_rss_within_bound", "store_share_within_bound",
-        "sharded_identical_to_unsharded", "memo_rate_above_bound",
+        "process_identical_to_serial", "memo_rate_above_bound",
         "memo_summaries_identical", "summarize_parallel_identical"))
 
     # Runner-capability gates: enforced when present, recorded as skipped

@@ -5,7 +5,7 @@ the cold/warm measurement cache, then writes ``BENCH_crawl.json``.
 Usage (from the repository root)::
 
     PYTHONPATH=src python scripts/perf_report.py [--sites N] [--workers N]
-        [--backends serial,thread,process] [--output BENCH_crawl.json]
+        [--backends serial,process] [--output BENCH_crawl.json]
 
 The same collection code backs ``benchmarks/bench_perf_crawl.py``; this
 entry point exists so a perf snapshot never requires pytest.
@@ -31,8 +31,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--backends",
                         default=",".join(DEFAULT_BACKENDS),
-                        help="comma-separated subset of "
-                             "serial/thread/process")
+                        help="comma-separated subset of serial/process")
     parser.add_argument("--output", default="BENCH_crawl.json")
     args = parser.parse_args(argv)
 

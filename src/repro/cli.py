@@ -5,9 +5,9 @@
 * ``crawl`` — run the measurement crawl over the synthetic web, persisting
   each visit to SQLite as it completes; ``--resume`` continues from the
   checkpoint, ``--retries`` re-attempts transient failures,
-  ``--progress`` streams crawl telemetry, and ``--shards N`` with
-  ``--no-collect`` runs paper-scale crawls in bounded memory;
-* ``merge-stores`` — merge shard crawl databases into one store;
+  ``--progress`` streams crawl telemetry, and ``--no-collect`` runs
+  paper-scale crawls in bounded memory;
+* ``merge-stores`` — merge independently crawled databases into one store;
 * ``diff-stores`` — streamed per-site + aggregate diff of two stored
   crawls (text, JSON or HTML);
 * ``drift-report`` — fold N stored crawls into a drift timeline and
@@ -84,29 +84,24 @@ def _build_parser() -> argparse.ArgumentParser:
     crawl.add_argument("--sites", type=int, default=5000)
     crawl.add_argument("--seed", type=int, default=2024)
     crawl.add_argument("--workers", type=int, default=4,
-                       help="worker threads or processes")
+                       help="worker processes")
     crawl.add_argument("--backend", choices=list(BACKENDS), default="auto",
                        help="crawl execution backend; 'process' uses "
                             "multiple cores (results are identical)")
     crawl.add_argument("--database", default="crawl.sqlite")
     crawl.add_argument("--resume", action="store_true",
                        help="skip ranks already in the database checkpoint")
-    crawl.add_argument("--shards", type=int, default=1,
-                       help="partition the crawl into N contiguous shards, "
-                            "each persisted to a sidecar store and merged "
-                            "into --database as it completes (bounded "
-                            "memory; results identical to --shards 1)")
     crawl.add_argument("--no-collect", action="store_true",
                        help="do not keep visits in memory (the database is "
                             "the output); required for crawls larger than "
                             "RAM")
     crawl.add_argument("--max-pool-rebuilds", type=int, default=0,
                        metavar="N",
-                       help="supervise the process backend: rebuild a "
-                            "crashed/hung worker pool up to N times, "
-                            "requeue lost chunks and quarantine "
-                            "poison-visit ranks instead of dying "
-                            "(0 = off; requires --backend process)")
+                       help="rebuild a crashed/hung process-backend "
+                            "worker pool up to N times, requeue lost "
+                            "chunks and quarantine poison-visit ranks "
+                            "instead of dying (0 = fail on the first "
+                            "crash; N > 0 requires the process backend)")
     crawl.add_argument("--retries", type=int, default=0,
                        help="max retries for transient failures")
     crawl.add_argument("--progress", action="store_true",
@@ -202,11 +197,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     merge = sub.add_parser(
         "merge-stores",
-        help="merge shard crawl databases into one store in rank order "
+        help="merge crawl databases into one store in rank order "
              "(checksums recomputed; verify-store afterwards for a clean "
              "bill of health)")
-    merge.add_argument("shards", nargs="+",
-                       help="shard database files to merge, in order")
+    merge.add_argument("sources", nargs="+",
+                       help="crawl database files to merge, in order")
     merge.add_argument("--into", required=True, metavar="DATABASE",
                        help="target crawl database (created if missing)")
 
@@ -365,7 +360,6 @@ def main(argv: list[str] | None = None) -> int:
                 dataset = pool.run(store=store, resume=args.resume,
                                    telemetry=telemetry, progress=progress,
                                    handle_signals=True,
-                                   shards=args.shards,
                                    collect=not args.no_collect,
                                    max_pool_rebuilds=args.max_pool_rebuilds)
         if pool.stop_requested:
@@ -456,8 +450,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if command == "merge-stores":
         from repro.crawler.storage import merge_stores
-        count = merge_stores(args.into, args.shards)
-        print(f"merged {count} visits from {len(args.shards)} store(s) "
+        count = merge_stores(args.into, args.sources)
+        print(f"merged {count} visits from {len(args.sources)} store(s) "
               f"into {args.into}")
         return 0
 

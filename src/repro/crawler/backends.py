@@ -1,10 +1,13 @@
 """Process-based crawl backend: warm persistent workers crawling rank chunks.
 
 The paper ran 40 genuinely parallel crawlers; our crawl is pure-Python
-CPU-bound work, so the thread backend gains nothing from extra workers (the
-GIL serialises them).  This module delivers real parallelism: the rank list
-is cut into contiguous chunks and each chunk is crawled by a worker
-*process* running an ordinary serial :class:`~repro.crawler.pool.CrawlerPool`.
+CPU-bound work, so parallelism needs processes (threads would serialise on
+the GIL).  The rank list is cut into contiguous chunks and each chunk is
+crawled by a worker *process* running an ordinary serial
+:class:`~repro.crawler.pool.CrawlerPool`.  Every process run is supervised
+(:mod:`repro.crawler.supervisor`); the default rebuild budget of 0 turns
+the first worker crash or hang into a
+:class:`~repro.crawler.supervisor.PoolCrashError`.
 
 Three mechanisms keep the workers fast (OpenWPM-style crawlers win by
 keeping long-lived browser workers hot, not by per-task process churn):
@@ -36,8 +39,8 @@ keeping long-lived browser workers hot, not by per-task process churn):
 
 Sites are pure functions of ``(seed, rank)``, so a worker needs only the
 web's constructor parameters and its chunk of ranks — no dataset is pickled
-into workers, and chunk results merge deterministically: serial, thread and
-process runs produce byte-identical datasets.
+into workers, and chunk results merge deterministically: serial and process
+runs produce byte-identical datasets.
 
 Because closures don't pickle, per-visit fetcher construction crosses the
 process boundary as a :class:`FetcherSpec` — a small picklable recipe the
@@ -74,7 +77,7 @@ from repro.crawler.fetcher import SyntheticFetcher
 from repro.crawler.records import SiteVisit
 from repro.crawler.resilience import FaultInjectingFetcher, RetryPolicy
 from repro.crawler.supervisor import POISON_VISIT, ChunkSupervisor, \
-    PoolCrashError, SupervisorConfig
+    SupervisorConfig
 from repro.crawler.telemetry import ChunkTelemetry, CrawlTelemetry
 from repro.obs import metrics as _metrics
 from repro.obs.tracing import TRACER
@@ -544,11 +547,17 @@ _RUN_SEQUENCE = itertools.count()
 
 
 def _chunk_sidecar_path(store_path: Path, run_tag: str, index: int) -> Path:
-    """Worker sidecar path: ``<store>.wchunk-<tag>-NNNN``.  Distinct from
-    the ``.shard-NNN`` suffix so :meth:`CrawlerPool.run(shards=)` resume
-    logic never mistakes a chunk sidecar for a shard checkpoint."""
+    """Worker sidecar path: ``<store>.wchunk-<tag>-NNNN``."""
     return store_path.with_name(
         f"{store_path.name}.wchunk-{run_tag}-{index:04d}")
+
+
+def _delete_store_files(path: Path) -> None:
+    """Remove a sidecar store file and its WAL/SHM files."""
+    for victim in (path, path.with_name(path.name + "-wal"),
+                   path.with_name(path.name + "-shm")):
+        with suppress(FileNotFoundError):
+            victim.unlink()
 
 
 def _sweep_chunk_sidecars(store_path: Path) -> None:
@@ -601,21 +610,26 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
     ones (workers ignore signals), merging whatever they finish — the
     checkpoint keeps every completed chunk.
 
-    With ``supervisor=`` (a :class:`SupervisorConfig`), worker crashes,
-    hung chunks and flaky sidecar merges are survived instead of fatal:
-    the pool is rebuilt within the crash budget, lost chunks are replayed
+    Every run is supervised by a :class:`ChunkSupervisor` built from
+    ``supervisor=`` (default: ``SupervisorConfig(max_pool_rebuilds=0)``).
+    Worker crashes and hung chunks are survived within the rebuild
+    budget: the pool is rebuilt, lost chunks are replayed
     byte-identically, repeat offenders are bisected down to the poison
-    rank and quarantined (DESIGN.md §4k).  Without it, behaviour is
-    exactly the pre-supervision backend: a ``BrokenProcessPool`` tears
-    the warm pool down, sweeps leftover sidecars and re-raises.
-    ``chaos=`` injects deterministic failures (drills and tests).
+    rank and quarantined (DESIGN.md §4k).  Past the budget the warm pool
+    is torn down, leftover sidecars are swept and :class:`PoolCrashError`
+    (a ``BrokenProcessPool``) is raised.  A failing sidecar merge is
+    retried, then its chunk is recrawled.  ``chaos=`` injects
+    deterministic failures (drills and tests).
     """
     if pool._custom_factory:
         raise ValueError(
             "the process backend cannot ship a fetcher_factory closure to "
             "worker processes; pass fetcher_spec= (a picklable FetcherSpec) "
             "instead")
+    sup = ChunkSupervisor(supervisor if supervisor is not None
+                          else SupervisorConfig(max_pool_rebuilds=0))
     if not targets:
+        pool.last_supervisor_stats = sup.stats()
         return []
     web = pool.web
     recipe = _WorkerRecipe(
@@ -642,8 +656,6 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
                              initargs=(recipe_blob, web_fp, pool_fp))
     scheduler = _ChunkScheduler(len(targets), pool.workers,
                                 replay=pool.chunk_schedule)
-    sup = (ChunkSupervisor(supervisor) if supervisor is not None else None)
-    pool.last_supervisor_stats = None
     total = len(targets)
     visits: list[SiteVisit] = []
     completed = 0
@@ -651,8 +663,7 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
     next_target = 0
     chunk_index = 0
     pending: "set[Future]" = set()
-    #: Future → job, for crash attribution and requeue.  Only maintained
-    #: under supervision, so the unsupervised hot path is unchanged.
+    #: Future → job, for crash attribution and requeue.
     jobs: "dict[Future, _ChunkJob]" = {}
     #: Rank tuples the supervisor wants resubmitted, drained before the
     #: scheduler hands out fresh chunks.
@@ -685,9 +696,8 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
         pending.add(future)
         if probe:
             probe_job = job
-        if sup is not None:
-            jobs[future] = job
-            sup.note_submitted(job.chunk_index)
+        jobs[future] = job
+        sup.note_submitted(job.chunk_index)
 
     def submit_next() -> bool:
         nonlocal next_target
@@ -719,10 +729,9 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
 
     def merge_sidecar(result: _ChunkResult) -> bool:
         """Fold the chunk sidecar in; ``False`` = chunk lost (requeued)."""
-        from repro.crawler.pool import _delete_store_files
         from repro.crawler.storage import CrawlStore
         sidecar = Path(result.shard_path)
-        attempts = sup.config.merge_attempts if sup is not None else 1
+        attempts = sup.config.merge_attempts
         failure: "sqlite3.OperationalError | None" = None
         for attempt in range(attempts):
             try:
@@ -741,8 +750,6 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
                         "retrying: %s", result.chunk_index, attempt + 1,
                         attempts, exc)
         _delete_store_files(sidecar)
-        if sup is None:
-            raise failure
         # The sidecar is gone but sites are pure (seed, rank) functions:
         # recrawl the chunk through the strike machinery (quarantines it
         # if the merge keeps dying on the same ranks).  No rebuild cost —
@@ -785,8 +792,8 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
     def recover_from_crash(crashed: "list[Future]", *, cause: str,
                            suspects: "list[tuple[int, ...]] | None" = None,
                            ) -> None:
-        """Supervised ``BrokenProcessPool`` handling: ingest what finished,
-        sweep the wreckage, rebuild the pool, requeue the rest."""
+        """``BrokenProcessPool`` handling: ingest what finished, sweep the
+        wreckage, rebuild the pool, requeue the rest."""
         nonlocal executor, probe_job
         lost_jobs = [jobs.pop(f) for f in crashed if f in jobs]
         # Everything still outstanding is doomed (the executor is broken)
@@ -883,8 +890,6 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
                 if not submit_next():
                     return
             except BrokenProcessPool:
-                if sup is None:
-                    raise
                 recover_from_crash([], cause="worker-crash")
 
     try:
@@ -900,8 +905,7 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
                 if not pending:
                     break
             timeout = (sup.config.watchdog_poll_seconds
-                       if sup is not None and sup.config.watchdog_enabled
-                       else None)
+                       if sup.config.watchdog_enabled else None)
             done, pending = wait(pending, timeout=timeout,
                                  return_when=FIRST_COMPLETED)
             crashed: list[Future] = []
@@ -909,18 +913,15 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
                 try:
                     result = future.result()
                 except BrokenProcessPool:
-                    if sup is None:
-                        raise
                     crashed.append(future)
                     continue
-                if sup is not None:
-                    jobs.pop(future, None)
-                    sup.note_finished(result.chunk_index)
-                    finish_probe(result)
+                jobs.pop(future, None)
+                sup.note_finished(result.chunk_index)
+                finish_probe(result)
                 ingest(result)
             if crashed:
                 recover_from_crash(crashed, cause="worker-crash")
-            elif sup is not None and not done and pending:
+            elif not done and pending:
                 check_watchdog()
             if pool.stop_requested and not stopped:
                 stopped = True
@@ -935,26 +936,14 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
                     "draining %d running", len(cancelled), len(pending))
             if not stopped:
                 top_up(pool.workers + 1)
-    except BrokenProcessPool:
-        # Unsupervised: a worker died hard (OOM kill, segfault); the
-        # executor is unusable, so drop it — the next run builds a fresh
-        # warm pool — and sweep the crashed workers' sidecar files rather
-        # than leaking them until that run starts.
-        shutdown_warm_pool()
-        if store is not None:
-            _sweep_chunk_sidecars(store.path)
-        raise
-    except PoolCrashError:
+    finally:
         pool.last_supervisor_stats = sup.stats()
-        raise
 
-    if sup is not None:
-        pool.last_supervisor_stats = sup.stats()
-        if store is not None and sup.rebuilds:
-            # A worker surviving a torn-down pool can flush its sidecar
-            # *after* the rebuild-time sweep; its chunk was requeued and
-            # merged from a fresh sidecar, so the stray file is garbage.
-            _sweep_chunk_sidecars(store.path)
+    if store is not None and sup.rebuilds:
+        # A worker surviving a torn-down pool can flush its sidecar
+        # *after* the rebuild-time sweep; its chunk was requeued and
+        # merged from a fresh sidecar, so the stray file is garbage.
+        _sweep_chunk_sidecars(store.path)
     pool.last_chunk_schedule = {
         "mode": "replay" if pool.chunk_schedule else "adaptive",
         "target_chunk_seconds": TARGET_CHUNK_SECONDS,

@@ -1,29 +1,23 @@
 """Parallel crawl orchestration.
 
-The paper ran 40 parallel crawlers for nine days; :class:`CrawlerPool` runs
-N worker threads over the ranked origin list and aggregates the results
-into a :class:`CrawlDataset` with the Section 4 failure taxonomy.  Results
-are deterministic regardless of worker count because every site's content
-is a pure function of (seed, rank).
+The paper ran 40 parallel crawlers for nine days; :class:`CrawlerPool`
+crawls the ranked origin list either serially or in worker processes
+(:mod:`repro.crawler.backends`) and aggregates the results into a
+:class:`CrawlDataset` with the Section 4 failure taxonomy.  Results are
+deterministic regardless of backend and worker count because every site's
+content is a pure function of (seed, rank).
 
 Resilience (this mirrors the paper's operational setup, Appendix A.2):
 
 * ``run(store=CrawlStore(...))`` persists visits as they complete (C14),
-  from whichever worker thread finished them, batched through
-  :meth:`~repro.crawler.storage.CrawlStore.save_visits` in groups of
-  :data:`STORE_BATCH_SIZE` so the store stage stays a small share of the
-  crawl — a crash loses at most the current batch plus in-flight visits,
-  and every graceful-stop path flushes the batch first;
+  batched through :meth:`~repro.crawler.storage.CrawlStore.save_visits`
+  in groups of :data:`STORE_BATCH_SIZE` so the store stage stays a small
+  share of the crawl — a crash loses at most the current batch plus
+  in-flight visits, and every graceful-stop path flushes the batch first;
 * ``run(store=..., resume=True)`` queries the checkpoint for
-  already-stored ranks and crawls only the remainder — the merged dataset
-  is byte-identical to an uninterrupted run;
-* ``run(store=..., shards=N)`` partitions the rank list into N contiguous
-  shards, crawls each into its own sidecar SQLite store and merges every
-  completed shard back into the main store, deleting the sidecar — paper
-  scale crawls keep per-file size and write contention bounded while the
-  merged store stays byte-identical to an unsharded run (resume works
-  across shard boundaries: leftover shard files from a killed run are
-  merged before the remainder is computed);
+  already-stored (or poison-quarantined) ranks and crawls only the
+  remainder — the merged dataset is byte-identical to an uninterrupted
+  run;
 * ``run(store=..., collect=False)`` skips accumulating visits in memory —
   the returned dataset is empty and the store is the output — so a 100k+
   site crawl runs with bounded memory;
@@ -41,12 +35,11 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
+import os
 import signal
 import threading
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.browser.page import Fetcher
@@ -55,6 +48,7 @@ from repro.crawler.crawler import CrawlConfig, Crawler
 from repro.crawler.fetcher import SyntheticFetcher
 from repro.crawler.records import SiteVisit
 from repro.crawler.resilience import RetryPolicy
+from repro.crawler.supervisor import POISON_VISIT
 from repro.crawler.telemetry import CrawlTelemetry
 from repro.policy.engine import PermissionsPolicyEngine
 from repro.synthweb.generator import SyntheticWeb
@@ -229,33 +223,12 @@ class CrawlDataset:
 
 
 #: Valid values for ``CrawlerPool(backend=...)``.
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "serial", "process")
 
 #: Visits buffered per batched store write on the pool's hot path.  Large
 #: enough that per-commit overhead stops dominating the store stage, small
 #: enough that a hard crash loses only a sliver of checkpoint progress.
 STORE_BATCH_SIZE = 64
-
-
-def shard_store_path(path: Path, index: int) -> Path:
-    """The sidecar SQLite file a sharded run uses for shard ``index``."""
-    return path.with_name(f"{path.name}.shard-{index:03d}")
-
-
-def _delete_store_files(path: Path) -> None:
-    """Remove a shard store file and its WAL/SHM sidecars."""
-    for victim in (path, path.with_name(path.name + "-wal"),
-                   path.with_name(path.name + "-shm")):
-        with contextlib.suppress(FileNotFoundError):
-            victim.unlink()
-
-
-def _leftover_shard_paths(store_path: Path) -> list[Path]:
-    """Shard store files a previous (killed) sharded run left behind."""
-    return sorted(
-        candidate for candidate
-        in store_path.parent.glob(store_path.name + ".shard-*")
-        if not candidate.name.endswith(("-wal", "-shm")))
 
 
 class _StoreBatcher:
@@ -291,12 +264,12 @@ class _StoreBatcher:
             self._store.save_visits(batch, chunk_size=self._batch_size)
 
 
-class _CrawlInterrupted(Exception):
-    """Internal: a worker observed the pool's stop request.
-
-    Never escapes :meth:`CrawlerPool.run`; it only unwinds the backend
-    loops so an interrupted run returns the visits completed so far.
-    """
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the platform
+    exposes one, else the machine's CPU count)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @contextlib.contextmanager
@@ -338,15 +311,14 @@ def _stop_on_signals(pool: "CrawlerPool") -> Iterator[None]:
 class CrawlerPool:
     """Runs crawls over a ranked range of the synthetic web.
 
-    Backends (results are byte-identical across all of them):
+    Backends (results are byte-identical across them):
 
     * ``"serial"`` — one visit after another in the calling thread;
-    * ``"thread"`` — a :class:`ThreadPoolExecutor`; useful for I/O-bound
-      fetchers, no speedup for the pure-Python synthetic crawl (GIL);
-    * ``"process"`` — contiguous rank chunks crawled in worker processes
-      (:mod:`repro.crawler.backends`), the only backend that uses multiple
-      cores;
-    * ``"auto"`` — ``serial`` for ``workers=1``, else ``thread``.
+    * ``"process"`` — contiguous rank chunks crawled in warm worker
+      processes under the crash supervisor (:mod:`repro.crawler.backends`);
+    * ``"auto"`` — ``process`` when ``workers > 1``, more than one CPU is
+      usable and the pool has no ``fetcher_factory`` closure (closures do
+      not cross processes); ``serial`` otherwise.
     """
 
     def __init__(self, web: SyntheticWeb, *, workers: int = 4,
@@ -382,11 +354,9 @@ class CrawlerPool:
         self.retry_policy = retry_policy
         # One engine for the whole pool: policy evaluation is pure, so the
         # engine's structural decision memo (keyed on chain shape, not frame
-        # identity) can be shared across visits and worker threads — the
-        # same widget chain on site N and site N+1 is one memo entry.  A
-        # fresh engine per visit would discard the memo each time.  Same
-        # thread-safety argument as repro.policy.memo: dict single-key ops
-        # are atomic and a lost race merely duplicates a pure computation.
+        # identity) can be shared across visits — the same widget chain on
+        # site N and site N+1 is one memo entry.  A fresh engine per visit
+        # would discard the memo each time.
         self._engine = (engine if engine is not None
                         else PermissionsPolicyEngine())
         #: Picklable fetcher recipe — the only fetcher customisation the
@@ -415,11 +385,10 @@ class CrawlerPool:
         #: Warm-worker stats of the most recent process-backend run
         #: (worker pids, webs constructed, chunk count).
         self.last_run_stats: "dict | None" = None
-        #: Supervision summary of the most recent supervised
-        #: process-backend run (rebuilds, requeues, bisections,
-        #: quarantined ranks — see
+        #: Supervision summary of the most recent process-backend run
+        #: (rebuilds, requeues, bisections, quarantined ranks — see
         #: :meth:`repro.crawler.supervisor.ChunkSupervisor.stats`);
-        #: ``None`` for unsupervised runs.
+        #: ``None`` before any such run.
         self.last_supervisor_stats: "dict | None" = None
         self._stop = threading.Event()
 
@@ -444,7 +413,9 @@ class CrawlerPool:
             raise ValueError(f"backend must be one of {BACKENDS}, "
                              f"got {choice!r}")
         if choice == "auto":
-            return "serial" if self.workers == 1 else "thread"
+            parallel = (self.workers > 1 and usable_cpus() > 1
+                        and not self._custom_factory)
+            return "process" if parallel else "serial"
         return choice
 
     def _make_crawler(self) -> Crawler:
@@ -459,7 +430,6 @@ class CrawlerPool:
             telemetry: CrawlTelemetry | None = None,
             backend: str | None = None,
             handle_signals: bool = False,
-            shards: int | None = None,
             collect: bool = True,
             max_pool_rebuilds: int = 0,
             supervisor: "SupervisorConfig | None" = None,
@@ -474,16 +444,6 @@ class CrawlerPool:
         ``telemetry`` receives per-visit updates.  ``backend`` overrides
         the pool's configured backend for this run.
 
-        With ``shards=N`` (N > 1; requires ``store``), the rank list is
-        partitioned into N contiguous shards, each crawled into a sidecar
-        shard store that is merged into ``store`` and deleted as it
-        completes.  The merged store is byte-identical to an unsharded run
-        (same visits, same checksums, read back in rank order), including
-        under ``resume=`` — a killed sharded run leaves shard files behind
-        and the next ``resume=True`` run merges them before computing the
-        remainder — and under fault injection, whose faults depend only on
-        (seed, url, attempt).
-
         With ``collect=False`` (requires ``store``), completed visits are
         *not* accumulated in memory: the returned dataset is empty and the
         store is the run's output (stream it back with
@@ -497,30 +457,27 @@ class CrawlerPool:
         store later completes it to a byte-identical dataset.
         :meth:`request_stop` does the same programmatically.
 
-        With ``max_pool_rebuilds=N`` (N > 0; process backend only), the
-        run is supervised: a crashed or hung worker pool is rebuilt up to
-        N times, lost chunks are requeued, and a visit that repeatedly
-        kills workers is bisected down to its rank and quarantined as
-        ``poison-visit`` instead of sinking the run (see
-        :mod:`repro.crawler.supervisor`).  Pass ``supervisor=`` a full
+        Process runs are always supervised (see
+        :mod:`repro.crawler.supervisor`).  ``max_pool_rebuilds=N`` lets
+        the supervisor rebuild a crashed or hung worker pool up to N
+        times, requeueing lost chunks and bisecting a visit that
+        repeatedly kills workers down to its rank, which is quarantined
+        as ``poison-visit`` instead of sinking the run.  The default
+        budget of 0 fails the run with
+        :class:`~repro.crawler.supervisor.PoolCrashError` on the first
+        crash or watchdog hang.  Pass ``supervisor=`` a full
         :class:`~repro.crawler.supervisor.SupervisorConfig` to tune the
         watchdog and strike thresholds — a non-zero ``max_pool_rebuilds``
         then overrides the config's budget.  ``chaos=`` injects
         deterministic faults for drills
         (:class:`~repro.crawler.chaos.ChaosPolicy`).  Supervision never
         changes dataset bytes: requeued chunks replay the same pure
-        (seed, rank) visits, and a sharded run supervises each shard with
-        a fresh budget.
+        (seed, rank) visits.
         """
         if resume and store is None:
             raise ValueError("resume=True requires a store")
         if not collect and store is None:
             raise ValueError("collect=False requires a store")
-        shard_count = 1 if shards is None else int(shards)
-        if shard_count < 1:
-            raise ValueError(f"shards must be >= 1, got {shards!r}")
-        if shard_count > 1 and store is None:
-            raise ValueError("shards > 1 requires a store to merge into")
         chosen = self.resolved_backend(backend)
         if max_pool_rebuilds < 0:
             raise ValueError(f"max_pool_rebuilds must be >= 0, "
@@ -539,65 +496,38 @@ class CrawlerPool:
                              "requires the process backend, "
                              f"got {chosen!r}")
         if chaos is not None and chosen != "process":
-            # Chaos injections run inside worker *processes*; on an
-            # in-process backend os._exit would kill the caller.
+            # Chaos injections run inside worker *processes*; on the
+            # serial backend os._exit would kill the caller.
             raise ValueError("chaos injection requires the process "
                              f"backend, got {chosen!r}")
         self._stop.clear()
         targets = list(ranks if ranks is not None
                        else range(self.web.site_count))
-        guard = (_stop_on_signals(self) if handle_signals
-                 else contextlib.nullcontext())
-        with guard:
-            if shard_count > 1:
-                return self._run_sharded(
-                    shard_count, targets, progress, store=store,
-                    resume=resume, telemetry=telemetry, chosen=chosen,
-                    collect=collect, supervisor=supervisor, chaos=chaos)
-            return self._run_single(
-                targets, progress, store=store, resume=resume,
-                telemetry=telemetry, chosen=chosen, collect=collect,
-                supervisor=supervisor, chaos=chaos)
-
-    def _resume_split(self, targets: list[int], store: "CrawlStore",
-                      collect: bool
-                      ) -> tuple[list[int], list[SiteVisit], int]:
-        """Split ``targets`` into (remaining, resumed visits, resumed
-        count).  With ``collect=False`` the resumed visits stay in the
-        store — only the count is computed."""
-        done = store.stored_ranks()
-        if not done:
-            return targets, [], 0
-        wanted = set(targets) & done
-        resumed = store.load_visits(sorted(wanted)) if collect else []
-        remaining = [rank for rank in targets if rank not in done]
-        return remaining, resumed, len(wanted)
-
-    def _run_single(self, targets: list[int],
-                    progress: Callable[[int, int], None] | None,
-                    *, store: "CrawlStore | None", resume: bool,
-                    telemetry: CrawlTelemetry | None, chosen: str,
-                    collect: bool,
-                    supervisor: "SupervisorConfig | None" = None,
-                    chaos: "ChaosPolicy | None" = None) -> CrawlDataset:
         resumed: list[SiteVisit] = []
         resumed_count = 0
+        poisoned: list[int] = []
         if resume:
-            targets, resumed, resumed_count = self._resume_split(
+            targets, resumed, resumed_count, poisoned = self._resume_split(
                 targets, store, collect)
         if telemetry is not None:
             # total covers the full run, so a resumed run still converges
-            # to done (completed + resumed == total) instead of reporting
-            # a non-empty queue forever.
-            telemetry.start(len(targets) + resumed_count, backend=chosen)
+            # to done (completed + resumed + quarantined == total) instead
+            # of reporting a non-empty queue forever.
+            telemetry.start(len(targets) + resumed_count + len(poisoned),
+                            backend=chosen)
             telemetry.record_resumed(resumed_count)
-        logger.info("crawl starting: %d targets (%d resumed), backend=%s, "
-                    "workers=%d", len(targets), resumed_count, chosen,
-                    self.workers)
+            for rank in poisoned:
+                telemetry.record_quarantined(rank)
+        logger.info("crawl starting: %d targets (%d resumed, %d "
+                    "quarantined), backend=%s, workers=%d", len(targets),
+                    resumed_count, len(poisoned), chosen, self.workers)
         dataset = CrawlDataset()
         dataset.visits.extend(resumed)
-        with TRACER.span("crawl.run", backend=chosen, sites=len(targets),
-                         resumed=resumed_count, workers=self.workers):
+        guard = (_stop_on_signals(self) if handle_signals
+                 else contextlib.nullcontext())
+        with guard, TRACER.span("crawl.run", backend=chosen,
+                                sites=len(targets), resumed=resumed_count,
+                                workers=self.workers):
             dataset.visits.extend(self._crawl_targets(
                 targets, chosen=chosen, store=store, telemetry=telemetry,
                 progress=progress, collect=collect,
@@ -617,88 +547,28 @@ class CrawlerPool:
                         dataset.attempted, dataset.successful_count)
         return dataset
 
-    def _run_sharded(self, shards: int, targets: list[int],
-                     progress: Callable[[int, int], None] | None,
-                     *, store: "CrawlStore", resume: bool,
-                     telemetry: CrawlTelemetry | None, chosen: str,
-                     collect: bool,
-                     supervisor: "SupervisorConfig | None" = None,
-                     chaos: "ChaosPolicy | None" = None) -> CrawlDataset:
-        from repro.crawler.backends import chunk_ranks
-        from repro.crawler.storage import CrawlStore
+    def _resume_split(self, targets: list[int], store: "CrawlStore",
+                      collect: bool
+                      ) -> tuple[list[int], list[SiteVisit], int, list[int]]:
+        """Split ``targets`` into (remaining, resumed visits, resumed
+        count, poisoned ranks).
 
-        leftovers = _leftover_shard_paths(store.path)
-        if leftovers and resume:
-            # A killed sharded run left completed shards (or a partial
-            # one) behind; fold them into the checkpoint so the normal
-            # resume split sees their ranks as done.
-            for path in leftovers:
-                with CrawlStore(path) as shard:
-                    store.merge_from(shard)
-                _delete_store_files(path)
-            logger.info("merged %d leftover shard store(s) into %s",
-                        len(leftovers), store.path)
-        elif leftovers:
-            for path in leftovers:  # stale wreckage of a fresh run
-                _delete_store_files(path)
-        resumed: list[SiteVisit] = []
-        resumed_count = 0
-        if resume:
-            targets, resumed, resumed_count = self._resume_split(
-                targets, store, collect)
-        if telemetry is not None:
-            telemetry.start(len(targets) + resumed_count, backend=chosen)
-            telemetry.record_resumed(resumed_count)
-        chunks = chunk_ranks(targets, shards)
-        logger.info("sharded crawl starting: %d targets across %d shards "
-                    "(%d resumed), backend=%s, workers=%d", len(targets),
-                    len(chunks), resumed_count, chosen, self.workers)
-        dataset = CrawlDataset()
-        dataset.visits.extend(resumed)
-        completed_base = 0
-        with TRACER.span("crawl.run.sharded", backend=chosen,
-                         sites=len(targets), shards=len(chunks),
-                         resumed=resumed_count, workers=self.workers):
-            for index, chunk in enumerate(chunks):
-                if self._stop.is_set():
-                    break
-                shard_path = shard_store_path(store.path, index)
-                _delete_store_files(shard_path)
-                with TRACER.span("crawl.shard", shard=index,
-                                 ranks=len(chunk)):
-                    shard_progress = None
-                    if progress is not None:
-                        def shard_progress(done: int, _total: int,
-                                           base: int = completed_base
-                                           ) -> None:
-                            progress(base + done, len(targets))
-                    with CrawlStore(shard_path) as shard_store:
-                        visits = self._crawl_targets(
-                            chunk, chosen=chosen, store=shard_store,
-                            telemetry=telemetry, progress=shard_progress,
-                            collect=collect, supervisor=supervisor,
-                            chaos=chaos)
-                        shard_store.flush()
-                        # Merge even a partially crawled shard: graceful
-                        # stop checkpoints everything that completed.
-                        store.merge_from(shard_store)
-                    _delete_store_files(shard_path)
-                completed_base += len(chunk)
-                if collect:
-                    dataset.visits.extend(visits)
-        dataset.visits.sort(key=lambda visit: visit.rank)
-        store.flush()
-        if self._stop.is_set():
-            if telemetry is not None:
-                telemetry.record_interrupted()
-            logger.warning(
-                "sharded crawl interrupted after %d/%d visits — "
-                "checkpoint flushed; rerun with resume=True to finish",
-                dataset.attempted - len(resumed), len(targets))
-        else:
-            logger.info("sharded crawl finished: %d visits (%d ok)",
-                        dataset.attempted, dataset.successful_count)
-        return dataset
+        A rank is done when the store holds its visit or when a supervised
+        run quarantined it as ``poison-visit``: sites are pure
+        (seed, rank) functions, so a poison rank would kill a worker again
+        on every retry.  Ranks that ``verify --repair`` quarantined for a
+        corrupt row are recrawled.  With ``collect=False`` the resumed
+        visits stay in the store — only the count is computed.
+        """
+        wanted = set(targets)
+        stored = store.stored_ranks() & wanted
+        poisoned = sorted(rank for rank, reason, _ in store.quarantine_rows()
+                          if reason == POISON_VISIT and rank in wanted)
+        done = stored.union(poisoned)
+        resumed = store.load_visits(sorted(stored)) \
+            if collect and stored else []
+        remaining = [rank for rank in targets if rank not in done]
+        return remaining, resumed, len(stored), poisoned
 
     def _crawl_targets(self, targets: list[int], *, chosen: str,
                        store: "CrawlStore | None",
@@ -712,64 +582,38 @@ class CrawlerPool:
 
         Returns the completed visits (empty with ``collect=False``).  The
         write batch is always flushed on the way out, including when a
-        stop request unwinds the backend loop.
+        stop request ends the serial loop.
         """
+        if chosen == "process":
+            from repro.crawler.backends import crawl_in_processes
+            return crawl_in_processes(
+                self, targets, progress=progress, store=store,
+                telemetry=telemetry, collect=collect,
+                supervisor=supervisor, chaos=chaos)
         batcher = _StoreBatcher(store) if store is not None else None
         collected: list[SiteVisit] = []
-
-        def visit_rank(rank: int) -> SiteVisit:
-            # One crawler (and one fetcher) per task keeps worker state
-            # independent, like the paper's per-site fresh (stateless)
-            # browser — and makes fault-injection state per-visit, so
-            # serial, parallel and resumed runs all see identical faults.
-            if self._stop.is_set():
-                raise _CrawlInterrupted(rank)
-            with TRACER.span("crawl.visit", rank=rank):
-                crawler = self._make_crawler()
-                visit = crawler.visit(self.web.origin_for_rank(rank),
-                                      rank=rank)
-            if batcher is not None:
-                batcher.add(visit)
-            if telemetry is not None:
-                telemetry.record_visit(visit)
-                for event in crawler.guard_events:
-                    telemetry.record_guard_event(event.kind)
-            return visit
-
         try:
-            if chosen == "process" and targets:
-                from repro.crawler.backends import crawl_in_processes
-                visits = crawl_in_processes(
-                    self, targets, progress=progress, store=store,
-                    telemetry=telemetry, collect=collect,
-                    supervisor=supervisor, chaos=chaos)
+            for index, rank in enumerate(targets):
+                if self._stop.is_set():
+                    break
+                # One crawler (and one fetcher) per visit, like the
+                # paper's per-site fresh (stateless) browser — and
+                # fault-injection state stays per-visit, so serial,
+                # process and resumed runs all see identical faults.
+                with TRACER.span("crawl.visit", rank=rank):
+                    crawler = self._make_crawler()
+                    visit = crawler.visit(self.web.origin_for_rank(rank),
+                                          rank=rank)
+                if batcher is not None:
+                    batcher.add(visit)
+                if telemetry is not None:
+                    telemetry.record_visit(visit)
+                    for event in crawler.guard_events:
+                        telemetry.record_guard_event(event.kind)
                 if collect:
-                    collected.extend(visits)
-            elif chosen == "serial" or self.workers == 1:
-                for index, rank in enumerate(targets):
-                    if self._stop.is_set():
-                        break
-                    try:
-                        visit = visit_rank(rank)
-                    except _CrawlInterrupted:
-                        break
-                    if collect:
-                        collected.append(visit)
-                    if progress is not None:
-                        progress(index + 1, len(targets))
-            else:
-                with ThreadPoolExecutor(max_workers=self.workers) as executor:
-                    try:
-                        for index, visit in enumerate(
-                                executor.map(visit_rank, targets)):
-                            if collect:
-                                collected.append(visit)
-                            if progress is not None:
-                                progress(index + 1, len(targets))
-                    except _CrawlInterrupted:
-                        # Queued tasks unwind the same way as they are
-                        # scheduled; the executor exit just drains them.
-                        pass
+                    collected.append(visit)
+                if progress is not None:
+                    progress(index + 1, len(targets))
         finally:
             if batcher is not None:
                 batcher.flush()

@@ -3,9 +3,8 @@
 The paper's wrapper stores all collected data in a database immediately
 after each site completes (Appendix A.2, C14).  :class:`CrawlStore`
 reproduces that: one SQLite file with ``visits``, ``frames``, ``calls``,
-``scripts`` and ``prompts`` tables, savable incrementally — including from
-:class:`~repro.crawler.pool.CrawlerPool` worker threads, behind a
-serialized writer lock with WAL enabled for concurrent readers — and
+``scripts`` and ``prompts`` tables, savable incrementally from any thread
+behind a serialized writer lock, with WAL enabled for concurrent readers, and
 loadable back into :class:`~repro.crawler.pool.CrawlDataset` form so
 analyses can run without re-crawling.
 
@@ -620,9 +619,9 @@ class CrawlStore:
 
         Fast path: ``other``'s rows are copied verbatim inside SQLite via
         ``ATTACH`` + ``INSERT ... SELECT`` — no Python-side decode or
-        re-encode, which is what lets a sharded crawl's merge step stay a
-        small slice of the store stage.  Shard rows were written by this
-        same encoder, so a verbatim copy is byte-for-byte what re-saving
+        re-encode, which is what lets the process backend's per-chunk
+        merge stay a small slice of the store stage.  Sidecar rows were
+        written by this same encoder, so a verbatim copy is byte-for-byte what re-saving
         the visits would produce (checksums included); child rows are
         copied ``ORDER BY rowid`` so per-rank contiguity (the
         :meth:`_attach_children` invariant) survives, and child rows whose
@@ -934,11 +933,11 @@ class CrawlStore:
 
 def merge_stores(target: "str | Path", shards: "Iterable[str | Path]", *,
                  chunk_size: int = 256) -> int:
-    """Merge shard store files into ``target``, in the order given.
+    """Merge the store files of independent crawls into ``target``, in the
+    order given.
 
-    Shards produced by a sharded crawl hold disjoint rank ranges, so the
-    merge is deterministic regardless of shard completion order: every
-    reader walks the merged store ``ORDER BY rank``.  The target is
+    Crawls of disjoint rank ranges merge deterministically regardless of
+    order: every reader walks the merged store ``ORDER BY rank``.  The target is
     flushed (WAL checkpointed) after the merge.  Returns the total number
     of visits merged.
     """

@@ -44,14 +44,19 @@ unit-testable without spawning a single process.  The backend
 (:func:`repro.crawler.backends.crawl_in_processes`) owns the actual pool
 teardown, sidecar sweep and resubmission.
 
-When the budget runs out, :class:`PoolCrashError` surfaces with the full
-event history, so nine-day runs fail with a story instead of a bare
-``BrokenProcessPool``.
+Every process run is supervised.  The default budget is 0 rebuilds, so
+an unconfigured run fails on the first crash or watchdog hang — but with
+swept sidecars, a torn-down warm pool and a retried merge.  When the
+budget runs out, :class:`PoolCrashError` surfaces with the full event
+history, so nine-day runs fail with a story instead of a bare
+``BrokenProcessPool``; it subclasses ``BrokenProcessPool`` so callers
+catch one exception type.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -112,7 +117,7 @@ class SupervisorConfig:
         return self.watchdog_poll_seconds > 0
 
 
-class PoolCrashError(RuntimeError):
+class PoolCrashError(BrokenProcessPool):
     """The crash budget ran out; carries the supervisor's telemetry.
 
     Raised by :meth:`ChunkSupervisor.on_pool_crash` when one more rebuild

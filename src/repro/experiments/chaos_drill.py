@@ -2,8 +2,8 @@
 
 The drill runs the same crawl twice on the process backend:
 
-1. a **crash-free baseline** (no supervision, no injection) whose JSONL
-   export is the ground truth;
+1. a **crash-free baseline** (default budget-0 supervision, no injection)
+   whose JSONL export is the ground truth;
 2. a **chaos run** under supervision, with a seeded
    :class:`~repro.crawler.chaos.ChaosPolicy` deterministically injecting
    worker deaths (``os._exit`` mid-chunk), a hang (a chunk that sleeps
@@ -15,10 +15,9 @@ byte-identical (SHA-256) to the baseline's export minus exactly the
 quarantined poison ranks — recovery replays pure ``(seed, rank)`` visits,
 so surviving a crash can never change the dataset.  Recovery telemetry
 (rebuilds, watchdog hangs, merge retries, quarantines) must match the
-injection plan, and the disabled-supervision overhead estimate must stay
-under :data:`OVERHEAD_BOUND` (the supervised dispatch loop only adds
-``is None`` / empty-deque branches to the unsupervised path, measured
-the same way the observability bench prices disabled hooks).
+injection plan.  Every process run is supervised, so the supervisor's
+cost on a crash-free run is part of the crawl the repository benchmark
+times end to end.
 
 ``benchmarks/bench_perf_chaos.py`` runs this at ``REPRO_CHAOS_SITES``
 scale and writes ``BENCH_chaos.json`` plus the quarantine report CI
@@ -32,7 +31,6 @@ import hashlib
 import math
 import tempfile
 import time
-from collections import deque
 from pathlib import Path
 
 from repro.crawler.chaos import ChaosPolicy
@@ -42,9 +40,6 @@ from repro.crawler.supervisor import SupervisorConfig
 from repro.crawler.telemetry import CrawlTelemetry
 from repro.experiments import runner
 from repro.synthweb.generator import SyntheticWeb
-
-#: Maximum share of a chunk's duration the disabled supervisor may cost.
-OVERHEAD_BOUND = 0.02
 
 #: Watchdog floor for drills — generous against scheduler noise, small
 #: enough that the injected hang costs seconds, not the default 30 s.
@@ -65,51 +60,6 @@ def rebuild_budget(*, kills: int, hangs: int, poisons: int,
     """
     per_poison = 2 + 1 + math.ceil(math.log2(max(2, max_chunk_size))) + 2
     return kills + hangs + poisons * per_poison + 4
-
-
-def supervision_off_cost(iterations: int = 200_000) -> float:
-    """Seconds per chunk the *disabled* supervisor adds to dispatch.
-
-    With ``supervisor=None`` the rewritten dispatch loop differs from the
-    pre-supervision backend only by a handful of ``is None`` and
-    empty-deque branches per chunk (the jobs map, strike bookkeeping and
-    watchdog timeout are all skipped).  Timing those branches directly
-    beats an A/B wall-clock race, which at real crawl scale is noise-
-    dominated (same reasoning as the observability bench's disabled-hook
-    pricing).
-    """
-    sup = None
-    chaos = None
-    requeued: deque = deque()
-    probation: deque = deque()
-    probe_job = None
-    sink = 0
-    start = time.perf_counter()
-    for _ in range(iterations):
-        # The per-chunk branch census of the unsupervised dispatch path:
-        # top-up (probe/probation/requeued), submit, result handling,
-        # merge attempts, worker-side chaos hook.
-        if probe_job is not None:
-            sink += 1
-        if probation:
-            sink += 1
-        if requeued:
-            sink += 1
-        if sup is not None:
-            sink += 1
-        if sup is not None:
-            sink += 1
-        if sup is not None:
-            sink += 1
-        if sup is not None:
-            sink += 1
-        if chaos is not None:
-            sink += 1
-        if chaos is not None:
-            sink += 1
-    elapsed = time.perf_counter() - start
-    assert sink == 0
-    return elapsed / iterations
 
 
 def _export_digest(store: CrawlStore, path: Path,
@@ -171,9 +121,7 @@ def collect_chaos(site_count: int, *, seed: int = runner.DEFAULT_SEED,
         snapshot = telemetry.snapshot()
         quarantined = set(snapshot.quarantined_ranks)
         quarantine_rows = chaos_store.quarantine_rows()
-        leftovers = sorted(
-            glob.glob(str(tmp / "*.wchunk-*"))
-            + glob.glob(str(tmp / "*.shard-*")))
+        leftovers = sorted(glob.glob(str(tmp / "*.wchunk-*")))
 
         # Byte identity: chaos export == baseline export minus exactly
         # the quarantined ranks.
@@ -212,12 +160,6 @@ def collect_chaos(site_count: int, *, seed: int = runner.DEFAULT_SEED,
         gates_skipped.append({"gate": "merge_retry_recovered",
                               "reason": "no merge errors in the plan"})
 
-    per_chunk = supervision_off_cost()
-    from repro.crawler.backends import TARGET_CHUNK_SECONDS
-    overhead_share = per_chunk / TARGET_CHUNK_SECONDS
-    gates["supervision_off_overhead_under_bound"] = (
-        overhead_share < OVERHEAD_BOUND)
-
     report.update({
         "injection_plan": {kind: list(ranks)
                            for kind, ranks in plan.items()},
@@ -237,12 +179,6 @@ def collect_chaos(site_count: int, *, seed: int = runner.DEFAULT_SEED,
             "rows": [{"rank": rank, "reason": reason, "detail": detail}
                      for rank, reason, detail in quarantine_rows],
             "events": stats["events"],
-        },
-        "supervision_off_overhead": {
-            "per_chunk_seconds": per_chunk,
-            "target_chunk_seconds": TARGET_CHUNK_SECONDS,
-            "share_of_chunk": overhead_share,
-            "bound": OVERHEAD_BOUND,
         },
         "sidecar_leftovers": leftovers,
         "gates": gates,

@@ -32,7 +32,7 @@ from repro.obs import metrics as _metrics
 from repro.policy.memo import clear_parser_caches, parser_caches_disabled
 from repro.synthweb.generator import SyntheticWeb
 
-DEFAULT_BACKENDS = ("serial", "thread", "process")
+DEFAULT_BACKENDS = ("serial", "process")
 
 
 def _timed(fn: Callable[[], object]) -> tuple[float, object]:
@@ -198,10 +198,12 @@ def _metric_increments(snapshot: dict) -> int:
 
 
 def time_observability(site_count: int, seed: int, *,
-                       workers: int = 4, rounds: int = 3) -> dict:
+                       rounds: int = 3) -> dict:
     """Cost of the observability layer on the crawl, off and on.
 
-    The same crawl runs ``rounds`` times per arm — instrumentation off
+    The same serial crawl runs ``rounds`` times per arm — pinned to the
+    serial backend so every hook fires, and is counted, in this process
+    and both arms time the same work — instrumentation off
     (the default) and on (tracing + metrics) — with the interned parser
     caches cleared before *every* run so neither arm inherits the other's
     warm caches (the original single-pass A/B ran "off" cold and "on"
@@ -221,7 +223,7 @@ def time_observability(site_count: int, seed: int, *,
     from repro.crawler.telemetry import CrawlTelemetry
 
     web = SyntheticWeb(site_count, seed=seed)
-    pool = CrawlerPool(web, workers=workers, backend="auto")
+    pool = CrawlerPool(web, workers=1, backend="serial")
 
     off_seconds = float("inf")
     on_seconds = float("inf")
@@ -432,8 +434,7 @@ def collect(site_count: int, *, seed: int = runner.DEFAULT_SEED,
         "crawl": time_crawl(site_count, seed, workers, backends),
         "analysis": time_analysis(site_count, seed),
         "cache": time_cache(site_count, seed, cache_dir),
-        "observability": time_observability(site_count, seed,
-                                            workers=workers),
+        "observability": time_observability(site_count, seed),
         "stages": collect_stages(site_count, seed=seed, workers=workers),
     }
     report["gates"], report["gates_skipped"] = check_crawl_gates(report)

@@ -1,7 +1,8 @@
 """Paper-scale harness behind ``benchmarks/bench_perf_scale.py``.
 
 The paper crawls ~1M sites; this module proves the pipeline holds up at
-that shape of workload: a sharded, store-backed crawl (``collect=False``)
+that shape of workload: a process-backend, store-backed crawl
+(``collect=False``)
 followed by a streamed export and a streaming summarize, each phase run in
 its **own spawn subprocess** so ``ru_maxrss`` yields a clean per-phase
 peak-RSS reading (the counter is monotonic per process, so phases sharing
@@ -20,8 +21,9 @@ overrides — CI smoke runs the 10k tier only):
 
 Two correctness gates ride along:
 
-* at the smallest tier, a second *unsharded* crawl is exported and its
-  SHA-256 must equal the sharded export's — the byte-identity contract;
+* at the smallest tier, a second crawl on the *serial* backend is exported
+  and its SHA-256 must equal the process crawl's export — the
+  byte-identity contract;
 * the policy engine's structural decision memo must hit on more than
   :data:`MEMO_RATE_BOUND` of explain decisions over a 500-site crawl,
   with the streaming summary field-identical to the materialized one.
@@ -40,7 +42,6 @@ import time
 from pathlib import Path
 
 DEFAULT_TIERS = (10_000, 100_000)
-DEFAULT_SHARDS = 4
 DEFAULT_SEED = 2024
 
 #: Peak-RSS ceiling for every phase subprocess.  A bounded-memory 100k
@@ -85,6 +86,20 @@ def _sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _stop_worker_pool() -> None:
+    """Stop the warm worker pool and wait for its workers to exit.
+
+    A phase runs in a multiprocessing child, which joins its own children
+    as soon as the phase returns.  Stopped without waiting, the pool's
+    workers may never receive their stop sentinels, and that join hangs.
+    """
+    from repro.crawler import backends
+
+    if backends._WARM_EXECUTOR is not None:
+        backends._WARM_EXECUTOR.shutdown(wait=True)
+    backends.shutdown_warm_pool()
+
+
 # ---------------------------------------------------------------------------
 # Phase workers.  Module-level (picklable) and imported lazily inside, so a
 # spawn subprocess pays import cost *inside* its own RSS measurement and the
@@ -92,8 +107,7 @@ def _sha256_file(path: Path) -> str:
 
 
 def _crawl_worker(params: dict) -> dict:
-    """Sharded, store-backed crawl with ``collect=False``."""
-    from repro.crawler.backends import shutdown_warm_pool
+    """Store-backed crawl with ``collect=False``."""
     from repro.crawler.pool import CrawlerPool
     from repro.crawler.storage import CrawlStore
     from repro.obs import metrics as _metrics
@@ -105,7 +119,7 @@ def _crawl_worker(params: dict) -> dict:
                        backend=params["backend"])
     start = time.perf_counter()
     with CrawlStore(Path(params["store_path"])) as store:
-        pool.run(store=store, shards=params["shards"], collect=False)
+        pool.run(store=store, collect=False)
     seconds = time.perf_counter() - start
     histograms = _metrics.REGISTRY.snapshot().get("histograms", {})
     write = histograms.get("store.write_seconds", {})
@@ -132,7 +146,7 @@ def _crawl_worker(params: dict) -> dict:
     if pool.last_chunk_schedule is not None:
         result["chunk_schedule"] = pool.last_chunk_schedule
         result["run_stats"] = pool.last_run_stats
-    shutdown_warm_pool()
+    _stop_worker_pool()
     return result
 
 
@@ -169,7 +183,6 @@ def _summarize_worker(params: dict) -> dict:
     """Streaming summarize straight off the store; ``summarize_workers``
     > 1 selects the process-parallel mode (warm worker pool)."""
     from repro.analysis.summary import summarize_streaming
-    from repro.crawler.backends import shutdown_warm_pool
     from repro.crawler.storage import CrawlStore
 
     workers = int(params.get("summarize_workers", 1))
@@ -178,7 +191,7 @@ def _summarize_worker(params: dict) -> dict:
         summary = summarize_streaming(store, workers=workers)
     seconds = time.perf_counter() - start
     if workers > 1:
-        shutdown_warm_pool()
+        _stop_worker_pool()
     return {
         "seconds": round(seconds, 4),
         "workers": workers,
@@ -262,28 +275,26 @@ def _run_phase(worker, params: dict) -> dict:
 
 
 def measure_tier(site_count: int, *, seed: int = DEFAULT_SEED,
-                 workers: int = 4, shards: int = DEFAULT_SHARDS,
-                 backend: str = "thread",
+                 workers: int = 4, backend: str = "process",
                  check_identity: bool = False) -> dict:
     """Crawl → export → summarize one tier, each phase in a subprocess.
 
-    With ``check_identity``, a second unsharded crawl is run and its
-    export digest compared against the sharded one (only worth paying at
-    the smallest tier; the contract is layout-independent).
+    With ``check_identity``, a second crawl runs on the serial backend and
+    its export digest is compared against the first crawl's (only worth
+    paying at the smallest tier; the contract is backend-independent).
     """
     with tempfile.TemporaryDirectory(prefix="repro-scale-") as scratch:
         scratch_path = Path(scratch)
         base = {"site_count": site_count, "seed": seed, "workers": workers,
                 "backend": backend}
-        store_path = scratch_path / "sharded.sqlite"
+        store_path = scratch_path / "crawl.sqlite"
         tier = {
             "site_count": site_count,
-            "shards": shards,
             "crawl": _run_phase(_crawl_worker, {
-                **base, "shards": shards, "store_path": str(store_path)}),
+                **base, "store_path": str(store_path)}),
             "export": _run_phase(_export_worker, {
                 "store_path": str(store_path),
-                "out_path": str(scratch_path / "sharded.jsonl")}),
+                "out_path": str(scratch_path / "crawl.jsonl")}),
             "summarize": _run_phase(_summarize_worker, {
                 "store_path": str(store_path)}),
         }
@@ -296,15 +307,16 @@ def measure_tier(site_count: int, *, seed: int = DEFAULT_SEED,
             if parallel["seconds"] else None)
         tier["summarize_parallel"] = parallel
         if check_identity:
-            flat_store = scratch_path / "unsharded.sqlite"
+            serial_store = scratch_path / "serial.sqlite"
             _run_phase(_crawl_worker, {
-                **base, "shards": 1, "store_path": str(flat_store)})
-            flat_export = _run_phase(_export_worker, {
-                "store_path": str(flat_store),
-                "out_path": str(scratch_path / "unsharded.jsonl")})
+                **base, "backend": "serial",
+                "store_path": str(serial_store)})
+            serial_export = _run_phase(_export_worker, {
+                "store_path": str(serial_store),
+                "out_path": str(scratch_path / "serial.jsonl")})
             tier["identity"] = {
-                "unsharded_sha256": flat_export["sha256"],
-                "identical": (flat_export["sha256"]
+                "serial_sha256": serial_export["sha256"],
+                "identical": (serial_export["sha256"]
                               == tier["export"]["sha256"]),
             }
     return tier
@@ -344,7 +356,7 @@ def check_gates(report: dict) -> "tuple[dict, list[dict]]":
             for tier in tiers),
         "worst_store_share": max(tier["crawl"]["store_share"]
                                  for tier in tiers),
-        "sharded_identical_to_unsharded": all(
+        "process_identical_to_serial": all(
             tier["identity"]["identical"] for tier in tiers
             if "identity" in tier),
         "memo_rate_bound": MEMO_RATE_BOUND,
@@ -383,45 +395,36 @@ def check_gates(report: dict) -> "tuple[dict, list[dict]]":
 
 def collect_scale(tiers: "tuple[int, ...] | None" = None, *,
                   seed: int = DEFAULT_SEED, workers: int = 4,
-                  shards: int = DEFAULT_SHARDS,
-                  backend: "str | None" = None) -> dict:
-    """The full BENCH_scale.json document.
-
-    ``backend=None`` resolves to ``process`` on a multi-core host and
-    ``thread`` on a single core (where process churn only adds overhead).
-    """
+                  backend: str = "process") -> dict:
+    """The full BENCH_scale.json document."""
     chosen = tuple(tiers) if tiers is not None else configured_tiers()
     smallest = min(chosen)
     cpus = os.cpu_count() or 1
-    if backend is None:
-        backend = "process" if cpus > 1 else "thread"
     report = {
         "seed": seed,
         "workers": workers,
-        "shards": shards,
         "backend": backend,
         "cpu_count": cpus,
         "python": platform.python_version(),
         "tiers": [measure_tier(tier, seed=seed, workers=workers,
-                               shards=shards, backend=backend,
+                               backend=backend,
                                check_identity=(tier == smallest))
                   for tier in chosen],
-        # The memo-rate calibration stays on the thread backend: the hit
-        # rate is a single-process property, and process workers each
-        # start with cold memos.
+        # The memo-rate calibration runs serially: the hit rate is a
+        # single-process property, and process workers each start with
+        # cold memos.
         "memo": _run_phase(_memo_worker, {
-            "site_count": MEMO_SITES, "seed": seed, "workers": workers,
-            "backend": "thread"}),
+            "site_count": MEMO_SITES, "seed": seed, "workers": 1,
+            "backend": "serial"}),
     }
     if cpus >= PROCESS_GATE_MIN_CPUS and smallest >= PROCESS_GATE_MIN_SITES:
         report["backend_race"] = _backend_race(
-            smallest, seed=seed, workers=workers, shards=shards)
+            smallest, seed=seed, workers=workers)
     report["gates"], report["gates_skipped"] = check_gates(report)
     return report
 
 
-def _backend_race(site_count: int, *, seed: int, workers: int,
-                  shards: int) -> dict:
+def _backend_race(site_count: int, *, seed: int, workers: int) -> dict:
     """Same store-backed crawl, serial vs warm process pool — the
     headline 2× claim, measured rather than asserted."""
     timings = {}
@@ -429,7 +432,7 @@ def _backend_race(site_count: int, *, seed: int, workers: int,
         for race_backend in ("serial", "process"):
             result = _run_phase(_crawl_worker, {
                 "site_count": site_count, "seed": seed, "workers": workers,
-                "backend": race_backend, "shards": shards,
+                "backend": race_backend,
                 "store_path": str(Path(scratch) / f"{race_backend}.sqlite")})
             timings[race_backend] = result["seconds"]
     return {

@@ -106,13 +106,13 @@ def era_variant(era: Era) -> str:
 
 def era_context(era: Era, site_count: int = 3000, *, seed: int = 2024,
                 workers: int = 4, backend: str | None = None,
-                use_cache: bool | None = None, shards: int | None = None):
+                use_cache: bool | None = None):
     """One era's measurement run as an
     :class:`~repro.experiments.runner.ExperimentContext`.
 
     Routed through :func:`~repro.experiments.runner.run_measurement`, so
     era crawls get the full measurement stack — disk cache (per-era
-    variant entries), backend selection, sharding — instead of rebuilding
+    variant entries), backend selection — instead of rebuilding
     the web from scratch on every call."""
     # Imported lazily: synthweb is a fingerprinted package and must not
     # import the experiment layer at module load.
@@ -121,7 +121,7 @@ def era_context(era: Era, site_count: int = 3000, *, seed: int = 2024,
     profile = rates_for_era(era)
     return run_measurement(site_count, seed=seed, workers=workers,
                            backend=backend, use_cache=use_cache,
-                           shards=shards, rates=profile.rates,
+                           rates=profile.rates,
                            variant=era_variant(era))
 
 

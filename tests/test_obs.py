@@ -232,7 +232,7 @@ class TestMetrics:
 class TestInstrumentation:
     def test_crawl_records_spans_and_metrics(self, web):
         with observed():
-            CrawlerPool(web, workers=2, backend="thread").run(
+            CrawlerPool(web, workers=1, backend="serial").run(
                 telemetry=CrawlTelemetry())
             names = {s.name for s in TRACER.roots}
             snap = REGISTRY.snapshot()
@@ -284,7 +284,7 @@ class TestIdentityUnderObservability:
     """The never-changes-results invariant, end to end."""
 
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("thread", 4), ("process", 2),
+        ("serial", 1), ("process", 2),
     ])
     def test_dataset_bytes_identical(self, web, plain_dataset, tmp_path,
                                      backend, workers):

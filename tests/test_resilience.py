@@ -504,7 +504,7 @@ class TestGracefulShutdown:
 
     RANKS = list(range(24))
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_sigterm_mid_crawl_then_resume(self, web, backend, tmp_path):
         import os
         import signal
@@ -669,6 +669,24 @@ class TestQuarantine:
             store.save_visit(dataset.visits[4])
             assert store.quarantine_rows() == []
             assert store.verify().ok
+
+    def test_repair_quarantined_rank_is_recrawled_on_resume(self, web,
+                                                             tmp_path):
+        # Unlike a poison-visit quarantine, a corrupt row says nothing
+        # about the site itself: resume crawls the rank again.
+        store, dataset = self._store_with_visits(web, tmp_path)
+        with store:
+            store._conn.execute(
+                "UPDATE visits SET duration_seconds = duration_seconds + 1 "
+                "WHERE rank = 3")
+            store._conn.commit()
+            store.verify(repair=True)
+            assert 3 not in store.stored_ranks()
+            resumed = CrawlerPool(web, workers=1).run(
+                range(8), store=store, resume=True)
+            assert store.quarantine_rows() == []
+            assert store.verify().ok
+        assert resumed.visits == dataset.visits
 
     def test_quarantine_payload_preserves_raw_rows(self, web, tmp_path):
         store, _ = self._store_with_visits(web, tmp_path)

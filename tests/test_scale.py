@@ -1,7 +1,7 @@
 """Tests for paper-scale crawl machinery.
 
-Sharded runs (byte-identical to unsharded, across backends, under
-kill-and-resume), batched writes and streaming reads on the store, the
+Store-backed runs (byte-identical across backends and under
+stop-and-resume), batched writes and streaming reads on the store, the
 bounded-memory analysis path, and the policy engine's structural decision
 memo (differentially against a memo-free engine).
 """
@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.analysis.summary import summarize, summarize_streaming
-from repro.crawler.pool import CrawlerPool, shard_store_path
+from repro.crawler.pool import CrawlerPool
 from repro.crawler.storage import CrawlStore, export_jsonl, merge_stores
 from repro.obs import metrics as _metrics
 from repro.policy.engine import PermissionsPolicyEngine, PolicyFrame
@@ -36,86 +36,50 @@ def _export_bytes(store: CrawlStore, tmp_path) -> bytes:
     return out.read_bytes()
 
 
-class TestShardedRuns:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    def test_sharded_equals_unsharded(self, web, dataset, tmp_path, backend):
+class TestStoreBackedRuns:
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_store_run_equals_baseline(self, web, dataset, tmp_path,
+                                       backend):
         pool = CrawlerPool(web, workers=2, backend=backend)
-        with CrawlStore(tmp_path / "sharded.sqlite") as store:
-            returned = pool.run(store=store, shards=3)
+        with CrawlStore(tmp_path / "crawl.sqlite") as store:
+            returned = pool.run(store=store)
             loaded = store.load_dataset()
         assert returned.visits == dataset.visits
         assert loaded.visits == dataset.visits
 
-    def test_sharded_store_bytes_equal_unsharded_store(self, web, tmp_path):
-        pool = CrawlerPool(web, workers=2)
-        with CrawlStore(tmp_path / "flat.sqlite") as store:
-            pool.run(store=store)
-            flat = _export_bytes(store, tmp_path)
-        with CrawlStore(tmp_path / "sharded.sqlite") as store:
-            pool.run(store=store, shards=4)
-            sharded = _export_bytes(store, tmp_path)
-        assert sharded == flat
+    def test_process_store_bytes_equal_serial_store(self, web, tmp_path):
+        with CrawlStore(tmp_path / "serial.sqlite") as store:
+            CrawlerPool(web, workers=1, backend="serial").run(store=store)
+            serial = _export_bytes(store, tmp_path)
+        with CrawlStore(tmp_path / "process.sqlite") as store:
+            CrawlerPool(web, workers=2, backend="process").run(store=store)
+            process = _export_bytes(store, tmp_path)
+        assert process == serial
 
-    def test_no_shard_files_left_behind(self, web, tmp_path):
-        store_path = tmp_path / "crawl.sqlite"
-        with CrawlStore(store_path) as store:
-            CrawlerPool(web, workers=1).run(range(40), store=store, shards=3)
-        assert not list(tmp_path.glob("crawl.sqlite.shard-*"))
-
-    def test_resume_merges_leftover_shard_files(self, web, dataset, tmp_path):
-        """A killed sharded run leaves completed shard stores behind; the
-        next resume=True run folds them in before crawling the rest."""
-        store_path = tmp_path / "crawl.sqlite"
-        ranks = list(range(SITES))
-        with CrawlStore(shard_store_path(store_path, 0)) as shard:
-            CrawlerPool(web, workers=1).run(ranks[:60], store=shard)
-        with CrawlStore(store_path) as store:
-            merged = CrawlerPool(web, workers=1).run(
-                store=store, shards=3, resume=True)
-            assert store.verify().ok
-        assert merged.visits == dataset.visits
-        assert not list(tmp_path.glob("crawl.sqlite.shard-*"))
-
-    def test_fresh_sharded_run_discards_stale_shard_files(self, web,
-                                                          tmp_path):
-        store_path = tmp_path / "crawl.sqlite"
-        with CrawlStore(shard_store_path(store_path, 0)) as shard:
-            CrawlerPool(web, workers=1).run(range(10), store=shard)
-        with CrawlStore(store_path) as store:
-            fresh = CrawlerPool(web, workers=1).run(
-                range(30, 60), store=store, shards=2)
-        assert sorted(v.rank for v in fresh.visits) == list(range(30, 60))
-        assert not list(tmp_path.glob("crawl.sqlite.shard-*"))
-
-    def test_interrupted_sharded_run_resumes_byte_identical(
-            self, web, dataset, tmp_path):
+    def test_interrupted_run_resumes_byte_identical(self, web, dataset,
+                                                    tmp_path):
         store_path = tmp_path / "crawl.sqlite"
         pool = CrawlerPool(web, workers=1)
 
-        def stop_after_first_shard(done: int, total: int) -> None:
+        def stop_after_sixty(done: int, total: int) -> None:
             if done >= 60:
                 pool.request_stop()
 
         with CrawlStore(store_path) as store:
-            pool.run(store=store, shards=3,
-                     progress=stop_after_first_shard)
+            pool.run(store=store, progress=stop_after_sixty)
             interrupted = len(store.stored_ranks())
             assert 0 < interrupted < SITES
-            resumed = pool.run(store=store, shards=3, resume=True)
+            resumed = pool.run(store=store, resume=True)
             assert store.verify().ok
         assert resumed.visits == dataset.visits
 
     def test_collect_false_streams_to_store_only(self, web, dataset,
                                                  tmp_path):
         with CrawlStore(tmp_path / "crawl.sqlite") as store:
-            returned = CrawlerPool(web, workers=2).run(
-                store=store, shards=2, collect=False)
+            returned = CrawlerPool(web, workers=2, backend="process").run(
+                store=store, collect=False)
             assert returned.visits == []
             assert store.load_dataset().visits == dataset.visits
-
-    def test_shards_require_store(self, web):
-        with pytest.raises(ValueError):
-            CrawlerPool(web, workers=1).run(shards=2)
 
     def test_collect_false_requires_store(self, web):
         with pytest.raises(ValueError):

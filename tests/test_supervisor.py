@@ -320,6 +320,33 @@ class TestSupervisedCrawls:
         assert snap.quarantined_ranks == (poison,)
         assert no_sidecars(tmp_path)
 
+    def test_resume_skips_poison_quarantined_ranks(self, web, baseline,
+                                                   tmp_path):
+        # Sites are pure (seed, rank) functions, so a poison rank kills a
+        # worker on every attempt: a plain resume must count it as done
+        # instead of recrawling it into a crash.
+        poison = 11
+        chaos = ChaosPolicy(poison_ranks=(poison,))
+        path = tmp_path / "poison-resume.sqlite"
+        with CrawlStore(path) as store:
+            CrawlerPool(web, workers=2, backend="process").run(
+                store=store, chaos=chaos, supervisor=fast_config())
+        telemetry = CrawlTelemetry()
+        with CrawlStore(path) as store:
+            pool = CrawlerPool(web, workers=2, backend="process")
+            resumed = pool.run(store=store, resume=True, chaos=chaos,
+                               telemetry=telemetry)
+            rows = store.quarantine_rows()
+        expected = [v for v in baseline.visits if v.rank != poison]
+        assert resumed.visits == expected
+        assert [(rank, reason) for rank, reason, _ in rows] == [
+            (poison, POISON_VISIT)]
+        snap = telemetry.snapshot()
+        assert snap.done
+        assert snap.resumed == 39
+        assert snap.quarantined_ranks == (poison,)
+        assert pool.last_supervisor_stats["rebuilds"] == 0
+
     def test_hang_is_caught_by_the_watchdog(self, web, baseline,
                                             tmp_path):
         # Hang-only plan: no co-flying crash can absorb the hung chunk,
@@ -381,9 +408,9 @@ class TestSupervisedCrawls:
     def test_unsupervised_crash_still_raises_but_sweeps(self, web,
                                                         baseline,
                                                         tmp_path):
-        # Without a supervisor the crash is fatal, exactly as before the
-        # supervisor existed — but the crash path still sweeps sidecar
-        # wreckage, so the checkpoint directory stays clean for resume.
+        # With the default budget of 0 rebuilds the crash is fatal — but
+        # the crash path still sweeps sidecar wreckage, so the checkpoint
+        # directory stays clean for resume.
         chaos = ChaosPolicy(kill_ranks=(5,),
                             state_dir=str(tmp_path / "state"))
         path = tmp_path / "unsupervised.sqlite"
@@ -391,7 +418,7 @@ class TestSupervisedCrawls:
             pool = CrawlerPool(web, workers=2, backend="process")
             with pytest.raises(BrokenProcessPool):
                 pool.run(store=store, chaos=chaos)
-        assert pool.last_supervisor_stats is None
+        assert pool.last_supervisor_stats["max_pool_rebuilds"] == 0
         assert no_sidecars(tmp_path)
         # The kill was once-only; a plain unsupervised resume completes.
         with CrawlStore(path) as store:
@@ -400,12 +427,11 @@ class TestSupervisedCrawls:
         assert resumed.visits == baseline.visits
 
     def test_supervision_requires_the_process_backend(self, web):
-        for backend in ("serial", "thread"):
-            pool = CrawlerPool(web, workers=2, backend=backend)
-            with pytest.raises(ValueError, match="process backend"):
-                pool.run(range(4), max_pool_rebuilds=2)
-            with pytest.raises(ValueError, match="process backend"):
-                pool.run(range(4), chaos=ChaosPolicy(poison_ranks=(1,)))
+        pool = CrawlerPool(web, workers=2, backend="serial")
+        with pytest.raises(ValueError, match="process backend"):
+            pool.run(range(4), max_pool_rebuilds=2)
+        with pytest.raises(ValueError, match="process backend"):
+            pool.run(range(4), chaos=ChaosPolicy(poison_ranks=(1,)))
 
     def test_negative_budget_is_rejected(self, web):
         pool = CrawlerPool(web, workers=2, backend="process")
