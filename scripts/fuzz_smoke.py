@@ -11,9 +11,9 @@ Three stages (DESIGN.md §4g), any failure exits non-zero:
    generate → crawl → store → verify → index → summarize for each seed;
    the serial and process backends must produce byte-identical
    datasets and the clean store must verify with zero corrupt rows.
-3. **Bit-flip drill** — rows of a stored hostile crawl are corrupted in
-   place; ``CrawlStore.verify`` must detect 100 % of them,
-   ``load_dataset`` must survive with counted warnings, and
+3. **Bit-flip drill** — stored payloads and checksums of a hostile
+   crawl are corrupted in place; ``CrawlStore.verify`` must detect 100 %
+   of them, ``load_dataset`` must skip and count every one, and
    ``verify(repair=True)`` must quarantine every one.  The final
    :class:`VerifyReport` is written as the ``--report`` JSON artifact CI
    uploads.
@@ -99,18 +99,34 @@ def pipeline_differential(seed: int, sites: int, payload_bytes: int,
     return path
 
 
+def _flip_duration(payload: bytes) -> bytes:
+    """Change one digit of ``duration_seconds``: the payload still parses."""
+    pos = payload.index(b'"duration_seconds":') + len(b'"duration_seconds":')
+    digit = payload[pos:pos + 1]
+    return (payload[:pos] + (b"2" if digit == b"1" else b"1")
+            + payload[pos + 1:])
+
+
+def _break_frames(payload: bytes) -> bytes:
+    """Make the ``frames`` records unparseable."""
+    return payload.replace(b'"frames":[', b'"frames":[{broken', 1)
+
+
 def bit_flip_drill(path: Path) -> "tuple[dict, int]":
     with CrawlStore(path) as store:
         total = len(store.stored_ranks())
         flipped = set()
-        for rank, statement in (
-                (0, "UPDATE visits SET duration_seconds = "
-                    "duration_seconds + 1 WHERE rank = ?"),
-                (2, "UPDATE frames SET headers = '{broken' WHERE rank = ?"),
-                (4, "UPDATE visits SET checksum = checksum + 7 "
-                    "WHERE rank = ?")):
-            store._conn.execute(statement, (rank,))
+        for rank, edit in ((0, _flip_duration), (2, _break_frames)):
+            payload = store._conn.execute(
+                "SELECT payload FROM visits WHERE rank = ?",
+                (rank,)).fetchone()[0]
+            store._conn.execute(
+                "UPDATE visits SET payload = ? WHERE rank = ?",
+                (edit(payload), rank))
             flipped.add(rank)
+        store._conn.execute(
+            "UPDATE visits SET checksum = checksum + 7 WHERE rank = 4")
+        flipped.add(4)
         store._conn.commit()
         report = store.verify()
         detected = {bad.rank for bad in report.corrupt}
@@ -118,9 +134,12 @@ def bit_flip_drill(path: Path) -> "tuple[dict, int]":
             raise AssertionError(f"verify detected {sorted(detected)}, "
                                  f"expected {sorted(flipped)}")
         loaded = store.load_dataset()  # must not raise
-        if not store.last_corrupt_counts and len(loaded.visits) == total:
-            raise AssertionError("tolerant load neither skipped nor "
-                                 "counted the corrupt rows")
+        skipped = sum(store.last_corrupt_counts.values())
+        if skipped != len(flipped) or \
+                len(loaded.visits) != total - len(flipped):
+            raise AssertionError(f"tolerant load skipped {skipped} rows and "
+                                 f"kept {len(loaded.visits)}/{total}; every "
+                                 f"corrupt row must be skipped and counted")
         repaired = store.verify(repair=True)
         if repaired.quarantined != len(flipped):
             raise AssertionError(f"repair quarantined "

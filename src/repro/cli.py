@@ -44,6 +44,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections import Counter
 from contextlib import ExitStack
 
 from repro.analysis.report import render_comparison
@@ -382,10 +383,12 @@ def main(argv: list[str] | None = None) -> int:
         snapshot = telemetry.snapshot()
         if args.no_collect:
             # The dataset was deliberately not kept in memory; telemetry
-            # carries the same per-visit accounting.
-            attempted, ok = snapshot.completed + snapshot.resumed, \
-                snapshot.succeeded
-            failure_counts = snapshot.failure_counts
+            # carries the same per-visit accounting, resumed visits
+            # included.
+            attempted = snapshot.completed + snapshot.resumed
+            ok = snapshot.succeeded + snapshot.resumed_succeeded
+            failure_counts = dict(Counter(snapshot.failure_counts)
+                                  + Counter(snapshot.resumed_failure_counts))
         else:
             attempted, ok = dataset.attempted, dataset.successful_count
             failure_counts = dataset.failure_summary()
@@ -496,10 +499,10 @@ def main(argv: list[str] | None = None) -> int:
     if command == "export-jsonl":
         from repro.crawler.storage import export_jsonl
         with CrawlStore(args.database) as store:
-            # iter_visits streams in rank order, so exports stay
-            # bounded-memory at any store size; the writer keeps the
-            # atomic tmp-rename + fsync + count-trailer contract.
-            count = export_jsonl(store.iter_visits(), args.output)
+            # Given the store, the writer streams each row's checksummed
+            # payload verbatim in rank order: bounded memory, no decode,
+            # with the atomic tmp-rename + fsync + count-trailer contract.
+            count = export_jsonl(store, args.output)
         print(f"wrote {count} visits to {args.output}")
         return 0
 

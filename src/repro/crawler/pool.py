@@ -505,17 +505,19 @@ class CrawlerPool:
                        else range(self.web.site_count))
         resumed: list[SiteVisit] = []
         resumed_count = 0
+        resumed_outcomes: Counter = Counter()
         poisoned: list[int] = []
         if resume:
-            targets, resumed, resumed_count, poisoned = self._resume_split(
-                targets, store, collect)
+            targets, resumed, resumed_outcomes, poisoned = \
+                self._resume_split(targets, store, collect)
+            resumed_count = sum(resumed_outcomes.values())
         if telemetry is not None:
             # total covers the full run, so a resumed run still converges
             # to done (completed + resumed + quarantined == total) instead
             # of reporting a non-empty queue forever.
             telemetry.start(len(targets) + resumed_count + len(poisoned),
                             backend=chosen)
-            telemetry.record_resumed(resumed_count)
+            telemetry.record_resumed(resumed_outcomes)
             for rank in poisoned:
                 telemetry.record_quarantined(rank)
         logger.info("crawl starting: %d targets (%d resumed, %d "
@@ -549,26 +551,34 @@ class CrawlerPool:
 
     def _resume_split(self, targets: list[int], store: "CrawlStore",
                       collect: bool
-                      ) -> tuple[list[int], list[SiteVisit], int, list[int]]:
+                      ) -> tuple[list[int], list[SiteVisit], Counter,
+                                 list[int]]:
         """Split ``targets`` into (remaining, resumed visits, resumed
-        count, poisoned ranks).
+        outcomes, poisoned ranks).
 
-        A rank is done when the store holds its visit or when a supervised
-        run quarantined it as ``poison-visit``: sites are pure
-        (seed, rank) functions, so a poison rank would kill a worker again
-        on every retry.  Ranks that ``verify --repair`` quarantined for a
-        corrupt row are recrawled.  With ``collect=False`` the resumed
-        visits stay in the store — only the count is computed.
+        A rank is done when the store holds its visit with an intact
+        checksum, or when a supervised run quarantined it as
+        ``poison-visit``: sites are pure (seed, rank) functions, so a
+        poison rank would kill a worker again on every retry.  Ranks whose
+        row is corrupt, or that ``verify --repair`` quarantined, are
+        recrawled.  With ``collect=False`` the resumed visits stay in the
+        store; only their outcomes (by failure taxonomy, ``None`` for a
+        success) are read.
         """
         wanted = set(targets)
         stored = store.stored_ranks() & wanted
         poisoned = sorted(rank for rank, reason, _ in store.quarantine_rows()
                           if reason == POISON_VISIT and rank in wanted)
         done = stored.union(poisoned)
-        resumed = store.load_visits(sorted(stored)) \
-            if collect and stored else []
+        if collect:
+            resumed = store.load_visits(stored) if stored else []
+            outcomes = Counter(None if visit.success
+                               else visit.failure or "unknown"
+                               for visit in resumed)
+        else:
+            resumed, outcomes = [], store.outcome_counts(stored)
         remaining = [rank for rank in targets if rank not in done]
-        return remaining, resumed, len(stored), poisoned
+        return remaining, resumed, outcomes, poisoned
 
     def _crawl_targets(self, targets: list[int], *, chosen: str,
                        store: "CrawlStore | None",

@@ -62,6 +62,11 @@ class TelemetrySnapshot:
     #: :attr:`done` — the run covered them by *excluding* them — but
     #: never toward :attr:`completed`.
     quarantined_ranks: tuple[int, ...] = ()
+    #: Outcomes of the :attr:`resumed` visits, which :attr:`succeeded`,
+    #: :attr:`failed` and :attr:`failure_counts` (this run's crawls)
+    #: leave out.
+    resumed_succeeded: int = 0
+    resumed_failure_counts: dict[str, int] = field(default_factory=dict)
 
     @property
     def sites_per_second(self) -> float:
@@ -182,6 +187,7 @@ class CrawlTelemetry:
     _total: int = 0
     _completed: int = 0
     _resumed: int = 0
+    _resumed_outcomes: Counter = field(default_factory=Counter)
     _succeeded: int = 0
     _retries: int = 0
     _simulated_seconds: float = 0.0
@@ -203,6 +209,7 @@ class CrawlTelemetry:
             self._backend = backend
             self._completed = 0
             self._resumed = 0
+            self._resumed_outcomes.clear()
             self._succeeded = 0
             self._retries = 0
             self._simulated_seconds = 0.0
@@ -213,10 +220,15 @@ class CrawlTelemetry:
             self._quarantined.clear()
             self._started_at = self.clock()
 
-    def record_resumed(self, count: int) -> None:
-        """Note visits restored from a checkpoint rather than crawled."""
+    def record_resumed(self, outcomes: Counter) -> None:
+        """Note visits restored from a checkpoint rather than crawled,
+        counted by failure taxonomy with ``None`` for a success
+        (:meth:`CrawlStore.outcome_counts
+        <repro.crawler.storage.CrawlStore.outcome_counts>`)."""
+        count = sum(outcomes.values())
         with self._lock:
             self._resumed += count
+            self._resumed_outcomes.update(outcomes)
         if _metrics.COUNTING and count:
             _metrics.REGISTRY.counter("crawl.resumed").inc(count)
 
@@ -312,6 +324,11 @@ class CrawlTelemetry:
                 guard_counts=dict(self._guard_events),
                 interrupted=self._interrupted,
                 quarantined_ranks=tuple(sorted(self._quarantined)),
+                resumed_succeeded=self._resumed_outcomes[None],
+                resumed_failure_counts={
+                    taxonomy: count for taxonomy, count
+                    in self._resumed_outcomes.items()
+                    if taxonomy is not None},
             )
 
     def render(self) -> str:

@@ -157,7 +157,7 @@ def _export_worker(params: dict) -> dict:
     out_path = Path(params["out_path"])
     start = time.perf_counter()
     with CrawlStore(Path(params["store_path"])) as store:
-        written = export_jsonl(store.iter_visits(), out_path)
+        written = export_jsonl(store, out_path)
     seconds = time.perf_counter() - start
     return {
         "seconds": round(seconds, 4),

@@ -189,7 +189,9 @@ class TestStorage:
 
 
 class TestSqlAggregates:
-    """The SQL-side aggregates must agree with the in-memory analyses."""
+    """The aggregates the store once computed in SQL, now read through
+    its checksummed visit stream by the streaming analysis, must agree
+    with the in-memory analyses."""
 
     @pytest.fixture(scope="class")
     def store(self, dataset, tmp_path_factory):
@@ -199,32 +201,46 @@ class TestSqlAggregates:
         with CrawlStore(path) as reader:
             yield reader
 
-    def test_count_successful(self, store, dataset):
-        assert store.count_successful() == dataset.successful_count
+    @pytest.fixture(scope="class")
+    def streamed(self, store):
+        from repro.analysis.summary import summarize_streaming
+        return summarize_streaming(store)
 
-    def test_failure_counts(self, store, dataset):
-        assert store.failure_counts() == dataset.failure_summary()
+    def test_count_successful(self, streamed, dataset):
+        assert streamed.successful_sites == dataset.successful_count
+
+    def test_failure_counts(self, streamed, dataset):
+        assert streamed.failure_summary == dataset.failure_summary()
 
     def test_header_sites_matches_analysis(self, store, dataset):
         from repro.analysis.headers import HeaderAnalysis
-        analysis = HeaderAnalysis(dataset.successful())
-        in_memory = sum(
-            1 for visit in dataset.successful()
-            if visit.top_frame.header("permissions-policy") is not None)
-        assert store.count_header_sites() == in_memory
+
+        def senders(visits):
+            return sum(1 for visit in visits if visit.success
+                       and visit.top_frame.header("permissions-policy")
+                       is not None)
+
+        assert senders(store.iter_visits()) == senders(dataset.visits)
+        stored = HeaderAnalysis(
+            [visit for visit in store.iter_visits() if visit.success])
+        assert stored.pp_top_level_docs == \
+            HeaderAnalysis(dataset.successful()).pp_top_level_docs
 
     def test_top_embedded_sites_match_analysis(self, store, dataset):
         from repro.analysis.delegation import DelegationAnalysis
+        stored = DelegationAnalysis(
+            [visit for visit in store.iter_visits() if visit.success])
         analysis = DelegationAnalysis(dataset.successful())
-        sql_ranking = store.top_embedded_sites(5)
-        memory_ranking = [(row.site, row.websites)
-                          for row in analysis.embedded_site_ranking(5)]
-        assert sql_ranking == memory_ranking
+        assert [(row.site, row.websites)
+                for row in stored.embedded_site_ranking(5)] == \
+            [(row.site, row.websites)
+             for row in analysis.embedded_site_ranking(5)]
 
-    def test_delegating_superset(self, store, dataset):
+    def test_delegating_superset(self, streamed, dataset):
         from repro.analysis.delegation import DelegationAnalysis
         analysis = DelegationAnalysis(dataset.successful())
-        assert store.count_delegating_sites() >= analysis.sites_delegating
+        assert streamed.share_sites_delegating == \
+            analysis.share_sites_delegating
 
     @staticmethod
     def _visit_with_headers(rank, headers):
@@ -254,26 +270,6 @@ class TestSqlAggregates:
             yield store
 
     def test_header_count_ignores_hostile_values(self, hostile_store):
-        assert hostile_store.count_header_sites() == 1
-
-    def test_header_count_fallback_without_json1(self, hostile_store):
-        """The LIKE-prefilter + json.loads fallback (no json_each) must
-        agree with the JSON1 path."""
-        import sqlite3
-
-        real = hostile_store._conn
-
-        class NoJson1:
-            def execute(self, sql, *params):
-                if "json_each" in sql:
-                    raise sqlite3.OperationalError("no such table: json_each")
-                return real.execute(sql, *params)
-
-            def __getattr__(self, name):
-                return getattr(real, name)
-
-        hostile_store._conn = NoJson1()
-        try:
-            assert hostile_store.count_header_sites() == 1
-        finally:
-            hostile_store._conn = real
+        from repro.analysis.headers import HeaderAnalysis
+        analysis = HeaderAnalysis(list(hostile_store.iter_visits()))
+        assert analysis.pp_top_level_docs == 1

@@ -13,6 +13,7 @@ from repro.experiments.tables import (
     table02_registry,
     table11_spec_issue,
 )
+from tests.store_faults import break_frames
 
 SCALE = 2500
 
@@ -112,6 +113,38 @@ class TestCli:
         second = capsys.readouterr().out
         assert "120 resumed" in second
 
+    def test_no_collect_resume_reports_one_shot_summary(self, tmp_path,
+                                                        capsys):
+        """A resumed --no-collect crawl counts the resumed visits' outcomes
+        too: its summary equals a one-shot crawl's plus `; N resumed`."""
+        import re
+
+        from repro.crawler.pool import CrawlerPool
+        from repro.crawler.storage import CrawlStore
+        from repro.synthweb.generator import SyntheticWeb
+
+        def summary(out):
+            return re.search(r"crawled \d+ sites \([^)]*\)", out).group(0)
+
+        args = ["crawl", "--sites", "120", "--workers", "2", "--no-collect"]
+        assert main([*args, "--database", str(tmp_path / "one.sqlite")]) == 0
+        one_shot = summary(capsys.readouterr().out)
+
+        database = str(tmp_path / "interrupted.sqlite")
+        pool = CrawlerPool(SyntheticWeb(120, seed=2024), workers=1)
+
+        def stop_early(done, total):
+            if done >= 50:
+                pool.request_stop()
+
+        with CrawlStore(database) as store:
+            pool.run(store=store, progress=stop_early, collect=False)
+            interrupted = len(store.stored_ranks())
+        assert 0 < interrupted < 120
+        assert main([*args, "--resume", "--database", database]) == 0
+        resumed = summary(capsys.readouterr().out)
+        assert resumed == one_shot[:-1] + f"; {interrupted} resumed)"
+
     def test_telemetry_subcommand(self, capsys):
         assert main(["telemetry", "--sites", "100", "--workers", "2",
                      "--fault-rate", "0.25", "--crash-rate", "0.05",
@@ -187,7 +220,10 @@ class TestHardeningCli:
         import sqlite3
         database = self._crawl(tmp_path, capsys)
         conn = sqlite3.connect(database)
-        conn.execute("UPDATE frames SET headers = '{x' WHERE rank = 3")
+        payload = conn.execute(
+            "SELECT payload FROM visits WHERE rank = 3").fetchone()[0]
+        conn.execute("UPDATE visits SET payload = ? WHERE rank = 3",
+                     (break_frames(payload),))
         conn.commit()
         conn.close()
         # Detection fails the command; --repair quarantines and succeeds.

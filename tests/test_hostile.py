@@ -51,6 +51,7 @@ from repro.synthweb.hostile import (
     deep_iframe_chain,
     hostile_values,
 )
+from tests.store_faults import break_frames, flip_in_string, rewrite_payload
 
 CORPUS_SEED = 1
 CORPUS = hostile_values(CORPUS_SEED, 32)
@@ -364,33 +365,28 @@ class TestHostilePipeline:
         path = tmp_path / "flip.sqlite"
         with CrawlStore(path) as store:
             store.save_dataset(dataset)
-            # Flip bits in every table's own way; calls/scripts rows do
-            # not exist at every rank, so pick ranks that have them.
-            call_rank = store._conn.execute(
-                "SELECT rank FROM calls WHERE rank NOT IN (1, 3) "
-                "ORDER BY rank LIMIT 1").fetchone()[0]
-            script_rank = store._conn.execute(
-                "SELECT rank FROM scripts WHERE rank NOT IN (1, 3, ?) "
-                "ORDER BY rank LIMIT 1", (call_rank,)).fetchone()[0]
+            # Damage each part of a payload its own way; calls/scripts
+            # records do not exist at every rank, so pick ranks that have
+            # them.
+            call_rank = next(v.rank for v in dataset.visits
+                             if v.calls and v.rank not in (1, 3))
+            script_rank = next(v.rank for v in dataset.visits
+                               if v.scripts and v.rank not in (1, 3,
+                                                               call_rank))
             flipped = {1, 3, call_rank, script_rank}
             assert len(flipped) == 4
-            store._conn.execute(
-                "UPDATE visits SET duration_seconds = duration_seconds + 1 "
-                "WHERE rank = 1")
-            store._conn.execute(
-                "UPDATE frames SET headers = '{broken' WHERE rank = 3")
-            store._conn.execute(
-                "UPDATE calls SET permissions = 'no-json' WHERE rank = ?",
-                (call_rank,))
-            store._conn.execute(
-                "UPDATE scripts SET source = source || 'X' WHERE rank = ?",
-                (script_rank,))
-            store._conn.commit()
+            rewrite_payload(store, 1, flip_in_string)
+            rewrite_payload(store, 3, break_frames)
+            rewrite_payload(store, call_rank, lambda p: p.replace(
+                b'"permissions":[', b'"permissions":"no-json",[', 1))
+            rewrite_payload(store, script_rank, lambda p: p.replace(
+                b'"source":"', b'"source":"X', 1))
             report = store.verify()
             assert {bad.rank for bad in report.corrupt} == flipped
             # load_dataset tolerates the damage (counted, not fatal)
             loaded = store.load_dataset()
-            assert len(loaded.visits) == 10
+            assert len(loaded.visits) == 6
+            assert store.last_corrupt_counts == {"checksum-mismatch": 4}
             repaired = store.verify(repair=True)
             assert repaired.quarantined == 4
             assert {rank for rank, _, _ in store.quarantine_rows()} == \

@@ -27,6 +27,12 @@ from repro.crawler.storage import CrawlStore, export_jsonl, import_jsonl
 from repro.crawler.telemetry import CrawlTelemetry
 from repro.experiments.robustness import fault_injection_study
 from repro.synthweb.generator import FailureMode, SyntheticWeb
+from tests.store_faults import (
+    break_frames,
+    flip_in_string,
+    rewrite_payload,
+    write_v3_store,
+)
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +46,7 @@ def injecting_factory(web, *, seed=7, failure_rate=0.25, crash_rate=0.05):
             SyntheticFetcher(web), seed=seed,
             failure_rate=failure_rate, crash_rate=crash_rate)
     return factory
+
 
 
 class TestRetryPolicy:
@@ -354,34 +361,100 @@ class TestStoreThreadSafety:
         assert loaded.visits[0].error_detail is None
 
 
-class TestOrphanTolerance:
-    def test_orphan_child_rows_skipped_with_counts(self, web, tmp_path,
-                                                   caplog):
+class TestReadPathChecksum:
+    """Every read checks each payload's CRC: a damaged visit is absent,
+    never silently altered, and resume re-crawls it."""
+
+    def test_corrupt_payload_skipped_with_counts(self, web, tmp_path,
+                                                 caplog):
         path = tmp_path / "corrupt.sqlite"
         dataset = CrawlerPool(web, workers=1).run(range(10))
         victim = next(v for v in dataset.successful() if v.frames)
         with CrawlStore(path) as store:
-            for visit in dataset.visits:
-                store.save_visit(visit)
-            # Simulate an interrupted save: child rows without their visit.
-            store._conn.execute("DELETE FROM visits WHERE rank = ?",
-                                (victim.rank,))
-            store._conn.commit()
+            store.save_dataset(dataset)
+            rewrite_payload(store, victim.rank, break_frames)
             with caplog.at_level(logging.WARNING,
                                  logger="repro.crawler.storage"):
                 loaded = store.load_dataset()
-            orphans = store.last_orphan_counts
+            assert store.last_corrupt_counts == {"checksum-mismatch": 1}
+            assert store.load_visits([victim.rank]) == []
+            assert victim.rank not in store.stored_ranks()
         assert len(loaded.visits) == 9
         assert all(v.rank != victim.rank for v in loaded.visits)
-        assert orphans.get("frames", 0) == len(victim.frames)
-        assert orphans.get("calls", 0) == len(victim.calls)
-        assert any("orphan" in record.message for record in caplog.records)
+        assert any("verify-store" in record.message
+                   for record in caplog.records)
 
-    def test_clean_store_reports_no_orphans(self, web, tmp_path):
+    def test_clean_store_reports_no_corrupt_rows(self, web, tmp_path):
         with CrawlStore(tmp_path / "clean.sqlite") as store:
             store.save_dataset(CrawlerPool(web, workers=1).run(range(5)))
             store.load_dataset()
-            assert store.last_orphan_counts == {}
+            assert store.last_corrupt_counts == {}
+
+    def test_string_flip_skipped_verified_and_recrawled(self, web,
+                                                        tmp_path):
+        import json
+
+        from repro.crawler.integrity import CHECKSUM_MISMATCH
+        ranks = range(24)
+        with CrawlStore(tmp_path / "fresh.sqlite") as store:
+            CrawlerPool(web, workers=1).run(ranks, store=store)
+            export_jsonl(store, tmp_path / "fresh.jsonl")
+        with CrawlStore(tmp_path / "flipped.sqlite") as store:
+            CrawlerPool(web, workers=1).run(ranks, store=store)
+            rewrite_payload(store, 16, flip_in_string)
+            json.loads(store._conn.execute(
+                "SELECT payload FROM visits WHERE rank = 16").fetchone()[0])
+            loaded = store.load_dataset()
+            assert 16 not in {visit.rank for visit in loaded.visits}
+            assert len(loaded.visits) == 23
+            report = store.verify()
+            assert [(bad.rank, bad.reason) for bad in report.corrupt] == \
+                [(16, CHECKSUM_MISMATCH)]
+            telemetry = CrawlTelemetry()
+            CrawlerPool(web, workers=1).run(ranks, store=store, resume=True,
+                                            telemetry=telemetry)
+            assert telemetry.snapshot().resumed == 23
+            assert telemetry.snapshot().completed == 1
+            assert store.verify().ok
+            export_jsonl(store, tmp_path / "resumed.jsonl")
+        assert (tmp_path / "resumed.jsonl").read_bytes() == \
+            (tmp_path / "fresh.jsonl").read_bytes()
+
+
+class TestSchemaUpgrade:
+    def test_v3_store_upgrades_on_open(self, web, tmp_path):
+        from repro.crawler.integrity import DECODE_ERROR
+        visits = CrawlerPool(web, workers=1).run(range(3)).visits
+        assert all(visit.frames for visit in visits)
+        path = tmp_path / "v3.sqlite"
+        conn = write_v3_store(path, visits, legacy_ranks={2})
+        conn.execute("UPDATE frames SET headers = '{x' WHERE rank = 1")
+        conn.commit()
+        conn.close()
+        with CrawlStore(path) as store:
+            upgrade = store.upgrade_report
+            assert (upgrade.total_rows, upgrade.verified_rows,
+                    upgrade.legacy_rows, upgrade.quarantined) == (3, 1, 1, 1)
+            assert [(bad.rank, bad.reason) for bad in upgrade.corrupt] == \
+                [(1, DECODE_ERROR)]
+            quarantined = store.quarantine_rows()
+            assert [(rank, reason) for rank, reason, _ in quarantined] == \
+                [(1, DECODE_ERROR)]
+            assert quarantined[0][2].startswith("frames: ")
+            report = store.verify()
+            assert report.ok and report.verified_rows == 2
+            assert report.previously_quarantined == 1
+            assert sorted(report.to_json()) == sorted([
+                "path", "total_rows", "verified_rows", "legacy_rows",
+                "corrupt_rows", "corrupt_by_reason", "quarantined",
+                "previously_quarantined", "ok", "corrupt"])
+            assert store.load_dataset().visits == [visits[0], visits[2]]
+            tables = {row[0] for row in store._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'")}
+        assert tables == {"visits", "quarantine"}
+        with CrawlStore(path) as store:
+            assert store.upgrade_report is None
+            assert store.stored_ranks() == {0, 2}
 
 
 class TestRoundTrips:
@@ -636,34 +709,32 @@ class TestQuarantine:
         assert "0 corrupt" in report.render() or report.render()
 
     def test_legacy_null_checksum_is_tolerated(self, web, tmp_path):
-        store, _ = self._store_with_visits(web, tmp_path)
-        with store:
-            store._conn.execute(
-                "UPDATE visits SET checksum = NULL WHERE rank = 2")
-            store._conn.commit()
+        dataset = CrawlerPool(web, workers=1).run(range(8))
+        path = tmp_path / "legacy.sqlite"
+        write_v3_store(path, dataset.visits, legacy_ranks={2}).close()
+        with CrawlStore(path) as store:
+            assert store.upgrade_report.legacy_rows == 1
             report = store.verify()
             loaded = store.load_dataset()
-        assert report.ok and report.legacy_rows == 1
-        assert len(loaded.visits) == 8
+        assert report.ok and report.verified_rows == 8
+        assert loaded.visits == dataset.visits
 
     def test_corrupt_child_rows_counted_not_fatal(self, web, tmp_path,
                                                   caplog):
         store, dataset = self._store_with_visits(web, tmp_path)
         with store:
-            store._conn.execute(
-                "UPDATE frames SET iframe_attributes = '[oops' "
-                "WHERE rank = 4 AND frame_id = 0")
-            store._conn.commit()
+            rewrite_payload(store, 4, break_frames)
             with caplog.at_level(logging.WARNING):
                 loaded = store.load_dataset()
-            assert store.last_corrupt_counts.get("frames", 0) >= 1
+            assert store.last_corrupt_counts.get("checksum-mismatch", 0) == 1
             assert any("verify-store" in record.message
                        for record in caplog.records)
-            # All eight visits survive; only the undecodable frame
-            # row is skipped.
-            assert {v.rank for v in loaded.visits} == set(range(8))
+            # The damaged visit is skipped whole: a visit with missing
+            # frames would be a different visit.
+            assert {v.rank for v in loaded.visits} == set(range(8)) - {4}
             repaired = store.verify(repair=True)
-            assert [bad.rank for bad in repaired.corrupt] == [4]
+            assert [(bad.rank, bad.reason) for bad in repaired.corrupt] == \
+                [(4, "decode-error")]
             assert store.quarantine_rows()[0][0] == 4
             # Re-saving the visit clears the quarantine entry.
             store.save_visit(dataset.visits[4])
@@ -676,10 +747,8 @@ class TestQuarantine:
         # about the site itself: resume crawls the rank again.
         store, dataset = self._store_with_visits(web, tmp_path)
         with store:
-            store._conn.execute(
-                "UPDATE visits SET duration_seconds = duration_seconds + 1 "
-                "WHERE rank = 3")
-            store._conn.commit()
+            rewrite_payload(store, 3, flip_in_string)
+            assert 3 not in store.stored_ranks()
             store.verify(repair=True)
             assert 3 not in store.stored_ranks()
             resumed = CrawlerPool(web, workers=1).run(
@@ -691,10 +760,7 @@ class TestQuarantine:
     def test_quarantine_payload_preserves_raw_rows(self, web, tmp_path):
         store, _ = self._store_with_visits(web, tmp_path)
         with store:
-            store._conn.execute(
-                "UPDATE visits SET duration_seconds = duration_seconds + 1 "
-                "WHERE rank = 1")
-            store._conn.commit()
+            rewrite_payload(store, 1, flip_in_string)
             store.verify(repair=True)
             rows = store._conn.execute(
                 "SELECT payload FROM quarantine WHERE rank = 1").fetchall()
