@@ -20,15 +20,15 @@ keeping long-lived browser workers hot, not by per-task process churn):
   changes, instead of once per chunk; the pool initializer also pre-warms
   the interned parser caches with one throwaway visit.
 
-* **Shard-local persistence.**  With ``store=``, chunk results no longer
-  ship full pickled :class:`~repro.crawler.records.SiteVisit` lists through
-  the result pipe: the worker writes its chunk into a private SQLite
-  sidecar (``<store>.wchunk-…``) via the batched
-  :meth:`~repro.crawler.storage.CrawlStore.save_visits` path and returns
-  only ranks, checksums and telemetry/observability deltas; the parent
-  folds the sidecar in with the ATTACH-based
-  :meth:`~repro.crawler.storage.CrawlStore.merge_from`.  ``collect=True``
-  additionally ships the visits as one protocol-5 pickle blob.
+* **Payload rows over the result pipe.**  With ``store=``, the worker
+  encodes its chunk into store rows ``(rank, payload, checksum)`` with
+  :func:`~repro.crawler.storage.encode_rows` — the encoding every save
+  uses — and the parent writes each chunk's rows in one transaction
+  (:meth:`~repro.crawler.storage.CrawlStore.write_rows`).  Encoding, the
+  save's CPU cost, stays in the workers; only the parent writes the
+  store, so no SQLite file but the store itself is ever opened.
+  ``collect=True`` additionally ships the visits as one protocol-5
+  pickle blob.
 
 * **Autotuned chunking.**  The first wave of chunks is small so the parent
   can measure per-site cost from worker timings; later chunks grow toward
@@ -53,13 +53,12 @@ from __future__ import annotations
 
 import atexit
 import hashlib
-import itertools
 import logging
 import multiprocessing
 import os
 import pickle
 import signal
-import sqlite3
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, \
@@ -67,7 +66,6 @@ from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, \
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import suppress
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.browser.page import Fetcher
@@ -103,7 +101,7 @@ CHUNKS_PER_WORKER = 4
 INITIAL_CHUNK_SIZE = 16
 
 #: The scheduler grows chunks toward this duration: long enough to make
-#: per-chunk overhead (submit, result pipe, sidecar merge) negligible,
+#: per-chunk overhead (submit, result pipe, store commit) negligible,
 #: short enough that stop requests and progress stay responsive.
 TARGET_CHUNK_SECONDS = 0.5
 
@@ -111,6 +109,9 @@ TARGET_CHUNK_SECONDS = 0.5
 #: a chunk's visits are the only dataset state a worker holds at once.
 MIN_CHUNK_SIZE = 8
 MAX_CHUNK_SIZE = 4096
+
+#: How often a worker checks that the process that started it is alive.
+PARENT_POLL_SECONDS = 1.0
 
 
 class FetcherSpec:
@@ -283,14 +284,39 @@ def _prewarm(pool: "CrawlerPool") -> None:
         logger.debug("worker warm-up crawl failed", exc_info=True)
 
 
-def _init_worker(recipe_blob: bytes, web_fp: str, pool_fp: str) -> None:
-    """Executor initializer: install signal shields and warm state.
+def _exit_with_parent() -> None:
+    """Start a daemon thread that ends this worker once its parent dies.
+
+    An idle worker blocks reading its job queue, whose write end it holds
+    itself (inherited at fork), so a SIGKILLed parent never shows it EOF:
+    without the thread it would linger, reparented and idle, for good.
+    Polling :func:`os.getppid` works with every start method;
+    ``PR_SET_PDEATHSIG`` is Linux-only and fires on the death of the
+    forking *thread*, not the process.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _init_worker(recipe_blob: "bytes | None" = None, web_fp: str = "",
+                 pool_fp: str = "") -> None:
+    """Executor initializer: install signal shields, the parent watch and
+    (given a recipe) warm state.
 
     Failures are swallowed — an initializer exception would wedge the
     whole executor, whereas a cold worker merely rebuilds on first chunk
     (and surfaces the real error there).
     """
     _ignore_shutdown_signals()
+    _exit_with_parent()
+    if recipe_blob is None:
+        return
     try:
         recipe = pickle.loads(recipe_blob)
         _prewarm(_worker_pool(recipe, web_fp, pool_fp))
@@ -320,15 +346,10 @@ def warm_executor(workers: int, start_method: str,
     if _WARM_EXECUTOR is not None and _WARM_KEY != key:
         shutdown_warm_pool()
     if _WARM_EXECUTOR is None:
-        context = multiprocessing.get_context(start_method)
-        if initargs is None:
-            _WARM_EXECUTOR = ProcessPoolExecutor(
-                max_workers=workers, mp_context=context,
-                initializer=_ignore_shutdown_signals)
-        else:
-            _WARM_EXECUTOR = ProcessPoolExecutor(
-                max_workers=workers, mp_context=context,
-                initializer=_init_worker, initargs=initargs)
+        _WARM_EXECUTOR = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context(start_method),
+            initializer=_init_worker, initargs=initargs or ())
         _WARM_KEY = key
     return _WARM_EXECUTOR
 
@@ -360,9 +381,8 @@ class _ChunkJob:
     #: Position of this chunk in the run (names the worker "process" in
     #: traces and telemetry).
     chunk_index: int = 0
-    #: Sidecar database path for shard-local persistence; ``None`` ships
-    #: the visits through the result pipe instead.
-    shard_path: "str | None" = None
+    #: Whether the parent persists the chunk (ships its store rows back).
+    persist: bool = False
     #: Whether the parent wants the visits back (protocol-5 pickle blob).
     collect: bool = True
     #: Whether the parent has tracing / metric collection on; the worker
@@ -380,13 +400,12 @@ class _ChunkResult:
 
     chunk_index: int
     ranks: tuple[int, ...]
-    #: Row checksums as stored in the sidecar (empty without a shard).
-    checksums: tuple[int, ...]
+    #: The chunk's :func:`~repro.crawler.storage.encode_rows` rows when
+    #: the job persists, else empty.
+    rows: "list[tuple[int, bytes, int]]"
     #: Protocol-5 pickle of ``list[SiteVisit]`` when the job collected,
-    #: else ``None`` (shard-local handoff ships no visit payload at all).
+    #: else ``None``.
     visits_blob: "bytes | None"
-    #: Sidecar path the worker wrote (parent merges and deletes it).
-    shard_path: "str | None"
     #: Worker-local telemetry delta for the chunk.
     telemetry: ChunkTelemetry
     #: Wall seconds the worker spent crawling — the scheduler's cost input.
@@ -412,7 +431,7 @@ def _crawl_chunk(job: _ChunkJob) -> _ChunkResult:
     back as a :class:`~repro.crawler.telemetry.ChunkTelemetry` delta (this
     is also how guard events cross the process boundary).
     """
-    from repro.crawler.storage import CrawlStore
+    from repro.crawler.storage import encode_rows
 
     _ignore_shutdown_signals()
     if job.trace:
@@ -431,21 +450,12 @@ def _crawl_chunk(job: _ChunkJob) -> _ChunkResult:
                          ranks=len(job.ranks)):
             visits = list(pool.run(job.ranks, telemetry=local).visits)
         seconds = time.perf_counter() - start
-        checksums: tuple[int, ...] = ()
-        if job.shard_path is not None:
-            with CrawlStore(Path(job.shard_path)) as shard:
-                shard.save_visits(visits)
-                shard.flush()
-                checksums = tuple(
-                    checksum for _, checksum
-                    in sorted(shard.stored_checksums().items()))
         return _ChunkResult(
             chunk_index=job.chunk_index,
             ranks=job.ranks,
-            checksums=checksums,
+            rows=encode_rows(visits) if job.persist else [],
             visits_blob=(pickle.dumps(visits, protocol=5)
                          if job.collect else None),
-            shard_path=job.shard_path,
             telemetry=ChunkTelemetry.from_snapshot(local.snapshot()),
             seconds=seconds,
             worker_pid=os.getpid(),
@@ -541,34 +551,6 @@ class _ChunkScheduler:
         return size
 
 
-# Run tags make sidecar names unique across concurrent pools and across a
-# crashed run's leftovers (which the next run sweeps by glob anyway).
-_RUN_SEQUENCE = itertools.count()
-
-
-def _chunk_sidecar_path(store_path: Path, run_tag: str, index: int) -> Path:
-    """Worker sidecar path: ``<store>.wchunk-<tag>-NNNN``."""
-    return store_path.with_name(
-        f"{store_path.name}.wchunk-{run_tag}-{index:04d}")
-
-
-def _delete_store_files(path: Path) -> None:
-    """Remove a sidecar store file and its WAL/SHM files."""
-    for victim in (path, path.with_name(path.name + "-wal"),
-                   path.with_name(path.name + "-shm")):
-        with suppress(FileNotFoundError):
-            victim.unlink()
-
-
-def _sweep_chunk_sidecars(store_path: Path) -> None:
-    """Delete leftover ``.wchunk-*`` files (crashed or interrupted runs).
-    Their ranks never reached the main store, so the resume logic recrawls
-    them; keeping the files would only leak disk."""
-    for stale in store_path.parent.glob(store_path.name + ".wchunk-*"):
-        with suppress(FileNotFoundError, OSError):
-            stale.unlink()
-
-
 def _kill_executor_workers(executor: ProcessPoolExecutor) -> None:
     """SIGKILL every worker process of ``executor``.
 
@@ -599,15 +581,17 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
     rank-sorted.
 
     Chunks are dispatched incrementally on the adaptive schedule (at most
-    ``workers + 1`` outstanding).  With ``store=``, each worker persists
-    its chunk shard-locally and the parent merges the sidecar — one
-    ATTACH merge per chunk, so checkpointing advances in chunk-sized steps
-    without visits ever crossing the result pipe.  Telemetry is applied as
-    per-chunk deltas under ``chunk-NNN`` worker names.  With
-    ``collect=False`` an empty list is returned (bounded-memory mode).
+    ``workers + 1`` outstanding).  With ``store=``, each worker returns
+    its chunk's encoded rows and the parent writes them in one
+    transaction, so checkpointing advances in chunk-sized steps.  A
+    failing write raises, as on the serial path; the store keeps every
+    chunk written before it and ``resume=True`` completes the run.
+    Telemetry is applied as per-chunk deltas under ``chunk-NNN`` worker
+    names.  With ``collect=False`` an empty list is returned
+    (bounded-memory mode).
 
     On a stop request the parent cancels queued chunks but drains running
-    ones (workers ignore signals), merging whatever they finish — the
+    ones (workers ignore signals), writing whatever they finish — the
     checkpoint keeps every completed chunk.
 
     Every run is supervised by a :class:`ChunkSupervisor` built from
@@ -616,10 +600,9 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
     budget: the pool is rebuilt, lost chunks are replayed
     byte-identically, repeat offenders are bisected down to the poison
     rank and quarantined (DESIGN.md §4k).  Past the budget the warm pool
-    is torn down, leftover sidecars are swept and :class:`PoolCrashError`
-    (a ``BrokenProcessPool``) is raised.  A failing sidecar merge is
-    retried, then its chunk is recrawled.  ``chaos=`` injects
-    deterministic failures (drills and tests).
+    is torn down and :class:`PoolCrashError` (a ``BrokenProcessPool``) is
+    raised.  ``chaos=`` injects deterministic failures (drills and
+    tests).
     """
     if pool._custom_factory:
         raise ValueError(
@@ -647,9 +630,6 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
     web_fp, pool_fp = _fingerprints(recipe, recipe_blob)
     trace = TRACER.enabled
     count = _metrics.COUNTING
-    run_tag = f"{os.getpid():x}-{next(_RUN_SEQUENCE):x}"
-    if store is not None:
-        _sweep_chunk_sidecars(store.path)
 
     start_method = _mp_context(pool.mp_context).get_start_method()
     executor = warm_executor(pool.workers, start_method,
@@ -679,11 +659,9 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
     def submit_ranks(ranks: "tuple[int, ...]", *,
                      probe: bool = False) -> None:
         nonlocal chunk_index, probe_job
-        shard = (str(_chunk_sidecar_path(store.path, run_tag, chunk_index))
-                 if store is not None else None)
         job = _ChunkJob(recipe=recipe, web_fp=web_fp, pool_fp=pool_fp,
                         ranks=ranks, chunk_index=chunk_index,
-                        shard_path=shard, collect=collect,
+                        persist=store is not None, collect=collect,
                         trace=trace, count=count, chaos=chaos)
         chunk_index += 1
         try:
@@ -727,39 +705,6 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
         if plan.quarantine and progress is not None:
             progress(completed + quarantined_count, total)
 
-    def merge_sidecar(result: _ChunkResult) -> bool:
-        """Fold the chunk sidecar in; ``False`` = chunk lost (requeued)."""
-        from repro.crawler.storage import CrawlStore
-        sidecar = Path(result.shard_path)
-        attempts = sup.config.merge_attempts
-        failure: "sqlite3.OperationalError | None" = None
-        for attempt in range(attempts):
-            try:
-                if chaos is not None:
-                    chaos.before_merge(result.ranks)
-                with CrawlStore(sidecar) as shard:
-                    store.merge_from(shard)
-                _delete_store_files(sidecar)
-                return True
-            except sqlite3.OperationalError as exc:
-                failure = exc
-                if attempt + 1 < attempts:
-                    sup.note_merge_retry()
-                    logger.warning(
-                        "chunk %03d sidecar merge failed (attempt %d/%d), "
-                        "retrying: %s", result.chunk_index, attempt + 1,
-                        attempts, exc)
-        _delete_store_files(sidecar)
-        # The sidecar is gone but sites are pure (seed, rank) functions:
-        # recrawl the chunk through the strike machinery (quarantines it
-        # if the merge keeps dying on the same ranks).  No rebuild cost —
-        # the worker pool is healthy.
-        logger.error("chunk %03d merge failed after %d attempt(s); "
-                     "requeueing ranks: %s", result.chunk_index, attempts,
-                     failure)
-        apply_plan(sup.on_merge_failure(result.ranks, detail=str(failure)))
-        return False
-
     def ingest(result: _ChunkResult) -> None:
         nonlocal completed
         index = result.chunk_index
@@ -770,9 +715,8 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
             TRACER.ingest(result.spans, pid=f"chunk-{index:03d}")
         if result.metrics is not None:
             _metrics.REGISTRY.merge(result.metrics)
-        if result.shard_path is not None and store is not None:
-            if not merge_sidecar(result):
-                return  # requeued — nothing completed for this chunk yet
+        if store is not None:
+            store.write_rows(result.rows)
         if telemetry is not None:
             telemetry.record_chunk(result.telemetry,
                                    worker=f"chunk-{index:03d}")
@@ -792,8 +736,8 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
     def recover_from_crash(crashed: "list[Future]", *, cause: str,
                            suspects: "list[tuple[int, ...]] | None" = None,
                            ) -> None:
-        """``BrokenProcessPool`` handling: ingest what finished, sweep the
-        wreckage, rebuild the pool, requeue the rest."""
+        """``BrokenProcessPool`` handling: ingest what finished, rebuild
+        the pool, requeue the rest."""
         nonlocal executor, probe_job
         lost_jobs = [jobs.pop(f) for f in crashed if f in jobs]
         # Everything still outstanding is doomed (the executor is broken)
@@ -841,11 +785,6 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
             # rebuild would block until the hang ended of its own accord.
             _kill_executor_workers(executor)
             shutdown_warm_pool()
-            if store is not None:
-                # Crashed workers leave half-written sidecars; replays
-                # write fresh ones, so sweep the wreckage now (not just at
-                # the next run's start).
-                _sweep_chunk_sidecars(store.path)
             for job in lost_jobs:
                 sup.note_finished(job.chunk_index)
             lost = [job.ranks for job in lost_jobs]
@@ -919,9 +858,12 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
                 sup.note_finished(result.chunk_index)
                 finish_probe(result)
                 ingest(result)
+            idle = not done
+            # Release the written chunks' rows before blocking again.
+            done = future = result = None
             if crashed:
                 recover_from_crash(crashed, cause="worker-crash")
-            elif not done and pending:
+            elif idle and pending:
                 check_watchdog()
             if pool.stop_requested and not stopped:
                 stopped = True
@@ -939,11 +881,6 @@ def crawl_in_processes(pool: "CrawlerPool", targets: Sequence[int], *,
     finally:
         pool.last_supervisor_stats = sup.stats()
 
-    if store is not None and sup.rebuilds:
-        # A worker surviving a torn-down pool can flush its sidecar
-        # *after* the rebuild-time sweep; its chunk was requeued and
-        # merged from a fresh sidecar, so the stray file is garbage.
-        _sweep_chunk_sidecars(store.path)
     pool.last_chunk_schedule = {
         "mode": "replay" if pool.chunk_schedule else "adaptive",
         "target_chunk_seconds": TARGET_CHUNK_SECONDS,

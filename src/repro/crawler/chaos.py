@@ -1,16 +1,15 @@
 """Deterministic chaos injection for the process-backend supervisor.
 
-The supervisor (DESIGN.md §4k) claims a crawl survives worker death, hung
-chunks and flaky merges without changing a byte of the dataset.  That
-claim is only testable if the failures themselves are reproducible, so
-this module injects them deterministically: a :class:`ChaosPolicy` is a
-picklable recipe naming the exact ranks at which a worker dies
-(``os._exit``), stalls (``time.sleep``), or the parent's sidecar merge
-raises ``sqlite3.OperationalError``.
+The supervisor (DESIGN.md §4k) claims a crawl survives worker death and
+hung chunks without changing a byte of the dataset.  That claim is only
+testable if the failures themselves are reproducible, so this module
+injects them deterministically: a :class:`ChaosPolicy` is a picklable
+recipe naming the exact ranks at which a worker dies (``os._exit``) or
+stalls (``time.sleep``).
 
 Two firing modes:
 
-* **once** (``kill_ranks``/``hang_ranks``/``merge_error_ranks``) — the
+* **once** (``kill_ranks``/``hang_ranks``) — the
   injection fires the first time its rank is attempted and never again.
   Worker processes are disposable (that is the point), so "fired" state
   cannot live in worker memory; it lives as marker files in
@@ -25,14 +24,10 @@ Two firing modes:
   replay can get past it, so the supervisor must bisect the chunk down to
   the rank and quarantine it.
 
-Injection points:
-
-* worker side, at chunk pickup: :meth:`ChaosPolicy.on_chunk` is called
-  with the chunk's ranks before any visit runs, so a killed chunk loses
-  *all* its work — the worst case for replay byte-identity;
-* parent side, at merge time: :meth:`ChaosPolicy.before_merge` raises for
-  a chunk containing a marked rank, exercising the supervisor's merge
-  retry.
+Injection point: at chunk pickup in the worker, :meth:`ChaosPolicy
+.on_chunk` is called with the chunk's ranks before any visit runs, so a
+killed chunk loses *all* its work — the worst case for replay
+byte-identity.
 
 Everything is a pure function of ``(policy fields, marker state)`` — no
 randomness at fire time.  :meth:`ChaosPolicy.plan` picks the injection
@@ -44,7 +39,6 @@ from __future__ import annotations
 import logging
 import os
 import random
-import sqlite3
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,9 +77,6 @@ class ChaosPolicy:
     #: Ranks that kill the worker on *every* attempt — only quarantine
     #: gets the crawl past them.
     poison_ranks: tuple[int, ...] = ()
-    #: Ranks whose chunk raises ``sqlite3.OperationalError`` at the
-    #: parent's merge step, once.
-    merge_error_ranks: tuple[int, ...] = ()
     #: How long a hang sleeps.  Far above any chunk deadline by default;
     #: drills shorten it so an undetected hang fails fast instead of
     #: wedging the suite.
@@ -98,22 +89,19 @@ class ChaosPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("kill_ranks", "hang_ranks", "poison_ranks",
-                     "merge_error_ranks"):
+        for name in ("kill_ranks", "hang_ranks", "poison_ranks"):
             object.__setattr__(self, name,
                                _sorted_ranks(getattr(self, name)))
         if self.hang_seconds <= 0:
             raise ValueError("hang_seconds must be > 0")
-        once = (self.kill_ranks or self.hang_ranks
-                or self.merge_error_ranks)
-        if once and not self.state_dir:
+        if (self.kill_ranks or self.hang_ranks) and not self.state_dir:
             raise ValueError(
-                "once-only injections (kill/hang/merge) need a state_dir "
+                "once-only injections (kill/hang) need a state_dir "
                 "to record which ones already fired")
 
     @classmethod
     def plan(cls, site_count: int, *, seed: int = 0, kills: int = 0,
-             hangs: int = 0, poisons: int = 0, merge_errors: int = 0,
+             hangs: int = 0, poisons: int = 0,
              state_dir: "str | Path" = "",
              hang_seconds: float = 3600.0) -> "ChaosPolicy":
         """Pick disjoint injection ranks from a seeded RNG.
@@ -121,7 +109,7 @@ class ChaosPolicy:
         The same ``(site_count, seed, counts)`` always selects the same
         ranks, so a drill's failure plan is reproducible from its report.
 
-        Crash injections (kills, poisons, merge errors) are placed in the
+        Crash injections (kills and poisons) are placed in the
         *first half* of the rank space and hangs in the *last quarter*:
         chunks dispatch in rank order, so the crash storm — including the
         poison rank's bisection probes, which drain the pipeline — is
@@ -130,9 +118,9 @@ class ChaosPolicy:
         happened to doom a co-flying hung chunk would otherwise absorb
         it, leaving ``watchdog_hangs`` racy).
         """
-        wanted = kills + hangs + poisons + merge_errors
+        wanted = kills + hangs + poisons
         rng = random.Random(seed)
-        crashes = kills + poisons + merge_errors
+        crashes = kills + poisons
         if hangs:
             hang_span = range(site_count - site_count // 4, site_count)
             crash_span = range(min(site_count // 2, hang_span.start))
@@ -143,13 +131,9 @@ class ChaosPolicy:
             raise ValueError(
                 f"cannot place {wanted} injections over {site_count} sites")
         picks = rng.sample(crash_span, crashes)
-        kill = picks[:kills]
-        poison = picks[kills:kills + poisons]
-        merge = picks[kills + poisons:]
         hang = rng.sample(hang_span, hangs)
-        return cls(kill_ranks=tuple(kill), hang_ranks=tuple(hang),
-                   poison_ranks=tuple(poison),
-                   merge_error_ranks=tuple(merge),
+        return cls(kill_ranks=tuple(picks[:kills]), hang_ranks=tuple(hang),
+                   poison_ranks=tuple(picks[kills:]),
                    hang_seconds=hang_seconds, state_dir=str(state_dir),
                    seed=seed)
 
@@ -175,7 +159,7 @@ class ChaosPolicy:
     def fired(self) -> dict[str, tuple[int, ...]]:
         """Injections that have fired, by kind — the drill's ground truth
         for checking recovery counts against the plan."""
-        out: dict[str, list[int]] = {"kill": [], "hang": [], "merge": []}
+        out: dict[str, list[int]] = {"kill": [], "hang": []}
         directory = Path(self.state_dir)
         if self.state_dir and directory.is_dir():
             for marker in directory.glob("*-*.fired"):
@@ -210,15 +194,7 @@ class ChaosPolicy:
                                os.getpid())
                 time.sleep(self.hang_seconds)
 
-    def before_merge(self, ranks: "Sequence[int]") -> None:
-        """Parent-side hook, called before a chunk sidecar merges."""
-        for rank in ranks:
-            if rank in self.merge_error_ranks and self._arm("merge", rank):
-                raise sqlite3.OperationalError(
-                    f"chaos: injected merge failure for rank {rank}")
-
     def planned(self) -> dict[str, tuple[int, ...]]:
         """The injection plan by kind (for reports)."""
         return {"kill": self.kill_ranks, "hang": self.hang_ranks,
-                "poison": self.poison_ranks,
-                "merge": self.merge_error_ranks}
+                "poison": self.poison_ranks}

@@ -35,7 +35,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.crawler.integrity import (
     CHECKSUM_MISMATCH,
@@ -122,6 +122,18 @@ def _decoded(pairs: Iterable[tuple[int, bytes]], corrupt: Counter
         yield visit
 
 
+def encode_rows(visits: Iterable[SiteVisit]
+                ) -> list[tuple[int, bytes, int]]:
+    """``(rank, payload, checksum)`` store rows of ``visits``: each
+    payload is :func:`~repro.crawler.integrity.canonical_visit_bytes`,
+    each checksum its CRC-32."""
+    rows = []
+    for visit in visits:
+        payload = canonical_visit_bytes(visit)
+        rows.append((visit.rank, payload, zlib.crc32(payload)))
+    return rows
+
+
 class CrawlStore:
     """SQLite-backed persistence for crawl datasets.
 
@@ -181,9 +193,7 @@ class CrawlStore:
 
     def save_visit(self, visit: SiteVisit) -> None:
         """Persist one visit (incremental, mirroring C14).  Thread-safe."""
-        self._save_chunk([visit])
-        if _metrics.COUNTING:
-            _metrics.REGISTRY.counter("store.visits_saved").inc()
+        self.write_rows(encode_rows([visit]))
 
     def save_visits(self, visits: Iterable[SiteVisit], *,
                     chunk_size: int = 256) -> int:
@@ -204,44 +214,41 @@ class CrawlStore:
         for visit in visits:
             chunk.append(visit)
             if len(chunk) >= chunk_size:
-                self._save_chunk(chunk)
-                total += len(chunk)
+                total += self.write_rows(encode_rows(chunk))
                 chunk = []
         if chunk:
-            self._save_chunk(chunk)
-            total += len(chunk)
-        if _metrics.COUNTING and total:
-            _metrics.REGISTRY.counter("store.visits_saved").inc(total)
+            total += self.write_rows(encode_rows(chunk))
         return total
 
-    def _save_chunk(self, chunk: list[SiteVisit]) -> None:
-        """Write one chunk of visits inside a single transaction.
+    def write_rows(self, rows: "Sequence[tuple[int, bytes, int]]") -> int:
+        """Write :func:`encode_rows` rows inside a single transaction.
 
-        Encoding and checksums happen *before* the writer lock is taken:
-        they dominate the save's CPU cost and need no connection state.
-        A saved rank supersedes its row and any quarantined wreckage.
+        The write half of every save: the process backend's workers encode
+        their chunks (:func:`encode_rows` dominates a save's CPU cost and
+        needs no connection state) and the parent writes the rows here.
+        A written rank supersedes its row and any quarantined wreckage.
+        A failing write rolls its transaction back and raises; earlier
+        commits stay.  Thread-safe.  Returns the number of rows written.
 
         When metrics are on, the writer thread's *CPU* time inside the
         lock is recorded in the ``store.write_seconds`` histogram
         (:func:`time.thread_time`, not wall clock), so lock waits and
         other threads' compute are never charged to the store.
         """
-        rows = []
-        for visit in chunk:
-            payload = canonical_visit_bytes(visit)
-            rows.append((visit.rank, payload, zlib.crc32(payload)))
         with self._lock:
             start = time.thread_time() if _metrics.COUNTING else 0.0
-            conn = self._conn
-            conn.executemany("DELETE FROM quarantine WHERE rank = ?",
-                             [(visit.rank,) for visit in chunk])
-            conn.executemany(
-                "INSERT OR REPLACE INTO visits (rank, payload, checksum) "
-                "VALUES (?,?,?)", rows)
-            conn.commit()
+            with self._conn as conn:
+                conn.executemany("DELETE FROM quarantine WHERE rank = ?",
+                                 [(row[0],) for row in rows])
+                conn.executemany(
+                    "INSERT OR REPLACE INTO visits (rank, payload, checksum) "
+                    "VALUES (?,?,?)", rows)
             if _metrics.COUNTING:
                 _metrics.REGISTRY.histogram("store.write_seconds").observe(
                     time.thread_time() - start)
+        if _metrics.COUNTING and rows:
+            _metrics.REGISTRY.counter("store.visits_saved").inc(len(rows))
+        return len(rows)
 
     def save_dataset(self, dataset: CrawlDataset) -> None:
         self.save_visits(dataset.visits)
@@ -277,14 +284,6 @@ class CrawlStore:
                 "SELECT rank, payload, checksum FROM visits"), corrupt)}
         self._finish_read(corrupt)
         return ranks
-
-    def stored_checksums(self) -> "dict[int, int]":
-        """Stored row checksums by rank, in rank order.  Cheap — no
-        payload is read — so the process backend can report chunk
-        checksums without re-encoding every visit."""
-        with self._lock:
-            return {row[0]: row[1] for row in self._conn.execute(
-                "SELECT rank, checksum FROM visits ORDER BY rank")}
 
     def outcome_counts(self, ranks: "Iterable[int]") -> Counter:
         """Visit outcomes of the given stored ranks: ``None`` counts
@@ -460,12 +459,7 @@ class CrawlStore:
             finally:
                 conn.execute("DETACH DATABASE merge_src")
             if _metrics.COUNTING:
-                # Separate histogram from save_visits' store.write_seconds:
-                # worker processes encode and write their own chunks
-                # (overlapping crawl compute), so merge cost is the only
-                # store work on the parent's critical path and the scale
-                # harness accounts for the two separately.
-                _metrics.REGISTRY.histogram("store.merge_seconds").observe(
+                _metrics.REGISTRY.histogram("store.write_seconds").observe(
                     time.thread_time() - start)
         if _metrics.COUNTING and count:
             _metrics.REGISTRY.counter("store.visits_saved").inc(count)
@@ -704,10 +698,8 @@ def _upgrade_v3_batch(conn: sqlite3.Connection, visit_rows: list,
             else:
                 report.verified_rows += 1
         if detail is None:
-            payload = canonical_visit_bytes(visits[rank])
             conn.execute("INSERT INTO visits (rank, payload, checksum) "
-                         "VALUES (?,?,?)",
-                         (rank, payload, zlib.crc32(payload)))
+                         "VALUES (?,?,?)", encode_rows([visits[rank]])[0])
             continue
         raw = {}
         for table in _V3_TABLES:
@@ -742,30 +734,6 @@ def merge_stores(target: "str | Path", shards: "Iterable[str | Path]", *,
                 total += store.merge_from(shard, chunk_size=chunk_size)
         store.flush()
     return total
-
-
-class JsonlImportError(ValueError):
-    """A JSONL import failed: a malformed line (in ``on_error="raise"``
-    mode) or a count-trailer mismatch indicating truncation."""
-
-
-#: Key of the final export line carrying the expected record count.
-_TRAILER_KEY = "__repro_jsonl_trailer__"
-
-#: Valid values for the importers' ``on_error`` argument.
-JSONL_ON_ERROR = ("raise", "skip")
-
-
-@dataclass
-class JsonlStats:
-    """Out-parameter for :func:`import_jsonl` / :func:`iter_jsonl`:
-    what happened during one import pass."""
-
-    imported: int = 0
-    skipped: int = 0
-    #: Count declared by the export trailer, or ``None`` for legacy
-    #: exports written before the trailer existed.
-    trailer_count: "int | None" = None
 
 
 class JsonlImportError(ValueError):

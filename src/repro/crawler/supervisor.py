@@ -7,10 +7,10 @@ supervisor turns those events into bounded, deterministic recovery:
 
 * **Crash recovery.**  Each ``BrokenProcessPool`` costs one *rebuild*
   from a per-run budget (``max_pool_rebuilds``); the warm pool is torn
-  down and rebuilt, crashed workers' half-written ``.wchunk-*`` sidecars
-  are swept, and lost chunks are resubmitted.  Sites are pure functions
-  of ``(seed, rank)``, so a replayed chunk produces byte-identical rows —
-  recovery cannot change the dataset.
+  down and rebuilt, and lost chunks are resubmitted.  Only the parent
+  writes the store, so a dead worker leaves nothing half-written behind.
+  Sites are pure functions of ``(seed, rank)``, so a replayed chunk
+  produces byte-identical rows — recovery cannot change the dataset.
 
 * **Poison bisection.**  A bare ``BrokenProcessPool`` cannot say *which*
   in-flight chunk killed the worker, so every lost chunk takes a
@@ -33,20 +33,15 @@ supervisor turns those events into bounded, deterministic recovery:
   the one crash-recovery path — and is the only chunk that takes a
   strike for it; innocent in-flight chunks requeue strike-free.
 
-* **Merge retry.**  A ``sqlite3.OperationalError`` while folding a chunk
-  sidecar into the main store is retried (the sidecar is still on disk);
-  a chunk whose merge keeps failing is recrawled through the same strike
-  machinery, without spending the rebuild budget (the pool is fine).
-
 The class here is deliberately pure bookkeeping — no executor handles, no
 filesystem, injectable clock — so the strike/bisection/budget logic is
 unit-testable without spawning a single process.  The backend
 (:func:`repro.crawler.backends.crawl_in_processes`) owns the actual pool
-teardown, sidecar sweep and resubmission.
+teardown and resubmission.
 
 Every process run is supervised.  The default budget is 0 rebuilds, so
 an unconfigured run fails on the first crash or watchdog hang — but with
-swept sidecars, a torn-down warm pool and a retried merge.  When the
+a torn-down warm pool and every finished chunk in the store.  When the
 budget runs out, :class:`PoolCrashError` surfaces with the full event
 history, so nine-day runs fail with a story instead of a bare
 ``BrokenProcessPool``; it subclasses ``BrokenProcessPool`` so callers
@@ -95,8 +90,6 @@ class SupervisorConfig:
     #: How often the dispatch loop wakes to check deadlines.  ``0``
     #: disables the watchdog (crash recovery still works).
     watchdog_poll_seconds: float = 0.25
-    #: Attempts per chunk-sidecar merge (>= 1; 1 disables the retry).
-    merge_attempts: int = 2
 
     def __post_init__(self) -> None:
         if self.max_pool_rebuilds < 0:
@@ -109,8 +102,6 @@ class SupervisorConfig:
             raise ValueError("watchdog_floor_seconds must be > 0")
         if self.watchdog_poll_seconds < 0:
             raise ValueError("watchdog_poll_seconds must be >= 0")
-        if self.merge_attempts < 1:
-            raise ValueError("merge_attempts must be >= 1")
 
     @property
     def watchdog_enabled(self) -> bool:
@@ -122,7 +113,7 @@ class PoolCrashError(BrokenProcessPool):
 
     Raised by :meth:`ChunkSupervisor.on_pool_crash` when one more rebuild
     would exceed ``max_pool_rebuilds``.  The run's checkpoint store holds
-    every chunk merged before the final crash, so ``resume=True``
+    every chunk written before the final crash, so ``resume=True``
     completes it (injected once-only faults do not refire).
     """
 
@@ -142,12 +133,12 @@ class PoolCrashError(BrokenProcessPool):
             f"crawl worker pool crashed {rebuilds} time(s), exceeding the "
             f"rebuild budget of {max_pool_rebuilds}; {len(self.lost_ranks)} "
             f"rank(s) in flight ({lost}) — the checkpoint store holds all "
-            f"merged chunks, rerun with resume=True")
+            f"finished chunks, rerun with resume=True")
 
 
 @dataclass(frozen=True)
 class RecoveryPlan:
-    """What the backend must do after a pool crash (or merge failure)."""
+    """What the backend must do after a pool crash."""
 
     #: Rank tuples to resubmit, in order (bisected halves stay contiguous).
     requeue: tuple[tuple[int, ...], ...]
@@ -162,7 +153,7 @@ class ChunkSupervisor:
     """Pure strike/bisection/budget bookkeeping for one run.
 
     The backend reports chunk lifecycle events (`note_submitted`,
-    `note_finished`) and failures (`on_pool_crash`, `on_merge_failure`);
+    `note_finished`) and pool crashes (`on_pool_crash`);
     the supervisor answers with a :class:`RecoveryPlan` and keeps the
     counters that become ``pool.last_supervisor_stats`` and the
     ``supervisor.*`` metrics.
@@ -185,7 +176,6 @@ class ChunkSupervisor:
         self.bisections = 0
         self.exonerations = 0
         self.watchdog_hangs = 0
-        self.merge_retries = 0
         self.quarantined: list[tuple[int, str]] = []
         self.events: list[dict] = []
 
@@ -196,11 +186,6 @@ class ChunkSupervisor:
 
     def note_finished(self, chunk_index: int) -> None:
         self._submitted_at.pop(chunk_index, None)
-
-    def note_merge_retry(self) -> None:
-        self.merge_retries += 1
-        if _metrics.COUNTING:
-            _metrics.REGISTRY.counter("supervisor.merge_retries").inc()
 
     # -- watchdog -----------------------------------------------------------
 
@@ -273,20 +258,6 @@ class ChunkSupervisor:
             "chunks_lost": len(lost),
             "ranks_requeued": sum(len(ranks) for ranks in plan.requeue),
             "probation": [list(ranks) for ranks in plan.probation],
-            "quarantined": [rank for rank, _ in plan.quarantine]})
-        return plan
-
-    def on_merge_failure(self, ranks: "tuple[int, ...]", *,
-                         detail: str) -> RecoveryPlan:
-        """A chunk sidecar merge failed past its retries: recrawl the
-        chunk through the strike machinery.  No rebuild is spent — the
-        worker pool is healthy."""
-        plan = self._plan([ranks], cause="merge-failure",
-                          suspect_set={tuple(ranks)})
-        self.events.append({
-            "event": "merge-failure", "detail": detail,
-            "ranks_requeued": sum(len(r) for r in plan.requeue),
-            "probation": [list(r) for r in plan.probation],
             "quarantined": [rank for rank, _ in plan.quarantine]})
         return plan
 
@@ -367,7 +338,6 @@ class ChunkSupervisor:
             "bisections": self.bisections,
             "exonerations": self.exonerations,
             "watchdog_hangs": self.watchdog_hangs,
-            "merge_retries": self.merge_retries,
             "quarantined_ranks": sorted(
                 rank for rank, _ in self.quarantined),
             "events": list(self.events),

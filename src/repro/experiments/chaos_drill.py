@@ -7,14 +7,14 @@ The drill runs the same crawl twice on the process backend:
 2. a **chaos run** under supervision, with a seeded
    :class:`~repro.crawler.chaos.ChaosPolicy` deterministically injecting
    worker deaths (``os._exit`` mid-chunk), a hang (a chunk that sleeps
-   far past its watchdog deadline), a poison rank (kills its worker on
-   *every* attempt) and a merge-time ``sqlite3.OperationalError``.
+   far past its watchdog deadline) and a poison rank (kills its worker
+   on *every* attempt).
 
 The chaos run must complete without raising, and its export must be
 byte-identical (SHA-256) to the baseline's export minus exactly the
 quarantined poison ranks — recovery replays pure ``(seed, rank)`` visits,
 so surviving a crash can never change the dataset.  Recovery telemetry
-(rebuilds, watchdog hangs, merge retries, quarantines) must match the
+(rebuilds, watchdog hangs, quarantines) must match the
 injection plan.  Every process run is supervised, so the supervisor's
 cost on a crash-free run is part of the crawl the repository benchmark
 times end to end.
@@ -26,7 +26,6 @@ uploads.
 
 from __future__ import annotations
 
-import glob
 import hashlib
 import math
 import tempfile
@@ -62,6 +61,15 @@ def rebuild_budget(*, kills: int, hangs: int, poisons: int,
     return kills + hangs + poisons * per_poison + 4
 
 
+def stray_store_files(store_path: Path) -> list[str]:
+    """Names beside ``store_path`` that start with its name but are
+    neither the store nor its ``-wal``/``-shm`` files."""
+    own = {store_path.name + suffix for suffix in ("", "-wal", "-shm")}
+    return sorted(entry.name for entry in store_path.parent.iterdir()
+                  if entry.name.startswith(store_path.name)
+                  and entry.name not in own)
+
+
 def _export_digest(store: CrawlStore, path: Path,
                    exclude: "frozenset[int] | set[int]" = frozenset(),
                    ) -> "tuple[str, int]":
@@ -73,8 +81,7 @@ def _export_digest(store: CrawlStore, path: Path,
 
 def collect_chaos(site_count: int, *, seed: int = runner.DEFAULT_SEED,
                   workers: int = 4, kills: int = 3, hangs: int = 1,
-                  poisons: int = 1, merge_errors: int = 1,
-                  chaos_seed: int = 97) -> dict:
+                  poisons: int = 1, chaos_seed: int = 97) -> dict:
     """Run the drill and return the ``BENCH_chaos.json`` document."""
     from repro.crawler.backends import MAX_CHUNK_SIZE
 
@@ -101,8 +108,7 @@ def collect_chaos(site_count: int, *, seed: int = runner.DEFAULT_SEED,
         # Chaos run under supervision.
         chaos = ChaosPolicy.plan(
             site_count, seed=chaos_seed, kills=kills, hangs=hangs,
-            poisons=poisons, merge_errors=merge_errors,
-            state_dir=str(tmp / "chaos-state"),
+            poisons=poisons, state_dir=str(tmp / "chaos-state"),
             hang_seconds=DRILL_HANG_SECONDS)
         config = SupervisorConfig(
             max_pool_rebuilds=budget,
@@ -121,7 +127,8 @@ def collect_chaos(site_count: int, *, seed: int = runner.DEFAULT_SEED,
         snapshot = telemetry.snapshot()
         quarantined = set(snapshot.quarantined_ranks)
         quarantine_rows = chaos_store.quarantine_rows()
-        leftovers = sorted(glob.glob(str(tmp / "*.wchunk-*")))
+        leftovers = (stray_store_files(baseline_store.path)
+                     + stray_store_files(chaos_store.path))
 
         # Byte identity: chaos export == baseline export minus exactly
         # the quarantined ranks.
@@ -152,13 +159,6 @@ def collect_chaos(site_count: int, *, seed: int = runner.DEFAULT_SEED,
     else:
         gates_skipped.append({"gate": "hang_caught_by_watchdog",
                               "reason": "no hangs in the injection plan"})
-    if merge_errors > 0:
-        gates["merge_retry_recovered"] = (
-            stats["merge_retries"] >= merge_errors
-            and fired["merge"] == plan["merge"])
-    else:
-        gates_skipped.append({"gate": "merge_retry_recovered",
-                              "reason": "no merge errors in the plan"})
 
     report.update({
         "injection_plan": {kind: list(ranks)
@@ -178,7 +178,6 @@ def collect_chaos(site_count: int, *, seed: int = runner.DEFAULT_SEED,
             "quarantined_ranks": sorted(quarantined),
             "rows": [{"rank": rank, "reason": reason, "detail": detail}
                      for rank, reason, detail in quarantine_rows],
-            "events": stats["events"],
         },
         "sidecar_leftovers": leftovers,
         "gates": gates,

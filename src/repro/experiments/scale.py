@@ -15,7 +15,8 @@ overrides — CI smoke runs the 10k tier only):
   bounded-memory contract;
 * the store stage's share of crawl wall time, read from the
   ``store.write_seconds`` histogram that
-  :meth:`~repro.crawler.storage.CrawlStore.save_visits` feeds — gated at
+  :meth:`~repro.crawler.storage.CrawlStore.write_rows` feeds in the
+  crawling process (the only store writer on either backend) — gated at
   :data:`STORE_SHARE_BOUND`;
 * streamed-export and streaming-summarize peak RSS (same bound).
 
@@ -123,23 +124,12 @@ def _crawl_worker(params: dict) -> dict:
     seconds = time.perf_counter() - start
     histograms = _metrics.REGISTRY.snapshot().get("histograms", {})
     write = histograms.get("store.write_seconds", {})
-    merge = histograms.get("store.merge_seconds", {})
-    write_seconds = float(write.get("total", 0.0))
-    merge_seconds = float(merge.get("total", 0.0))
-    if params["backend"] == "process":
-        # Worker sidecar writes (merged into this registry from the worker
-        # snapshots) overlap crawl compute in other processes; only the
-        # parent's ATTACH merges sit on the crawl's critical path.
-        store_seconds = merge_seconds
-    else:
-        store_seconds = write_seconds + merge_seconds
+    store_seconds = float(write.get("total", 0.0))
     result = {
         "seconds": round(seconds, 4),
         "sites_per_second": round(params["site_count"] / seconds, 1),
         "store_seconds": round(store_seconds, 4),
         "store_share": round(store_seconds / seconds, 4),
-        "store_write_seconds": round(write_seconds, 4),
-        "store_merge_seconds": round(merge_seconds, 4),
         "store_writes": int(write.get("count", 0)),
         "peak_rss_bytes": _peak_rss_bytes(),
     }

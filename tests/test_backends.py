@@ -2,10 +2,17 @@
 and the persistent measurement cache (PR: process backend + perf)."""
 
 import json
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.experiments.runner as runner
 from repro.crawler.backends import (
     CHUNKS_PER_WORKER,
@@ -18,6 +25,7 @@ from repro.crawler.pool import BACKENDS, CrawlDataset, CrawlerPool
 from repro.crawler.resilience import RetryPolicy
 from repro.crawler.storage import CrawlStore, export_jsonl
 from repro.crawler.telemetry import CrawlTelemetry
+from repro.experiments.chaos_drill import stray_store_files
 from repro.synthweb.generator import SyntheticWeb
 
 SITES = 60
@@ -177,8 +185,8 @@ class TestBackendSelection:
 
 class TestWarmWorkers:
     """The persistent worker pool: warm web reuse across chunks and runs,
-    the recorded adaptive schedule, replay determinism, and shard-local
-    sidecar hygiene."""
+    the recorded adaptive schedule, replay determinism, and the store
+    rows workers ship back."""
 
     def test_workers_build_one_web_each_not_one_per_chunk(self, web):
         shutdown_warm_pool()  # start from a cold executor
@@ -233,9 +241,9 @@ class TestWarmWorkers:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_shard_local_store_byte_identical(self, tmp_path, seed):
-        """collect=False shard-local handoff: the store a process crawl
-        writes through worker sidecars is byte-identical to a serial
-        crawl's, and no ``.wchunk-*`` sidecar survives the run."""
+        """collect=False handoff: the store a process crawl writes from
+        its workers' encoded rows is byte-identical to a serial crawl's,
+        and no file but the store's own sits beside it."""
         local_web = SyntheticWeb(40, seed=seed)
         with CrawlStore(tmp_path / f"serial-{seed}.sqlite") as store:
             CrawlerPool(local_web, workers=1, backend="serial").run(
@@ -248,16 +256,7 @@ class TestWarmWorkers:
             process_bytes = _store_export_bytes(store, tmp_path)
         assert returned.visits == []
         assert process_bytes == serial_bytes
-        assert not list(tmp_path.glob(f"proc-{seed}.sqlite.wchunk-*"))
-
-    def test_stale_sidecars_swept_on_run_start(self, web, tmp_path):
-        db = tmp_path / "crawl.sqlite"
-        stale = tmp_path / "crawl.sqlite.wchunk-dead-0007"
-        with CrawlStore(db) as store:
-            stale.write_bytes(b"leftover from a crashed run")
-            CrawlerPool(web, workers=2, backend="process").run(
-                range(10), store=store)
-        assert not stale.exists()
+        assert not stray_store_files(tmp_path / f"proc-{seed}.sqlite")
 
     def test_interrupted_adaptive_run_resumes_byte_identical(
             self, web, serial_dataset, tmp_path):
@@ -278,6 +277,57 @@ class TestWarmWorkers:
                 store=store, resume=True)
         assert dataset_bytes(resumed, tmp_path, "resumed") == \
             dataset_bytes(serial_dataset, tmp_path, "reference")
+
+
+#: Starts the warm executor, reports its worker PIDs and idles until
+#: killed.  Two overlapping jobs make both workers start.
+_ORPHAN_SCRIPT = """
+import time
+from repro.crawler.backends import _mp_context, warm_executor
+executor = warm_executor(2, _mp_context().get_start_method())
+for job in [executor.submit(time.sleep, 0.3) for _ in range(2)]:
+    job.result()
+print(*sorted(executor._processes), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie (``os.kill(pid, 0)``
+    succeeds on zombies, so read its state instead)."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    state = next((line for line in status.splitlines()
+                  if line.startswith("State:")), "State: Z")
+    return state.split()[1] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads process states from /proc")
+def test_workers_exit_when_parent_is_killed():
+    """A SIGKILLed parent cannot shut its executor down; its workers must
+    notice on their own and exit instead of idling as orphans."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+    parent = subprocess.Popen([sys.executable, "-c", _ORPHAN_SCRIPT],
+                              stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 5.0
+    try:
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert not [pid for pid in pids if _running(pid)]
+    finally:
+        for pid in filter(_running, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def _store_export_bytes(store, tmp_path):

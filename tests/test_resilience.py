@@ -25,6 +25,7 @@ from repro.crawler.resilience import (
 )
 from repro.crawler.storage import CrawlStore, export_jsonl, import_jsonl
 from repro.crawler.telemetry import CrawlTelemetry
+from repro.experiments.chaos_drill import stray_store_files
 from repro.experiments.robustness import fault_injection_study
 from repro.synthweb.generator import FailureMode, SyntheticWeb
 from tests.store_faults import (
@@ -646,7 +647,6 @@ class TestGracefulShutdown:
         *running* ones: the checkpoint holds exactly the drained chunks'
         ranks, nothing from a cancelled chunk, and resume completes
         byte-identically."""
-        import glob
         import os
         import signal
 
@@ -680,9 +680,9 @@ class TestGracefulShutdown:
             chunk = {start, start + 1}
             assert chunk <= stored or not (chunk & stored)
         assert telemetry.snapshot().interrupted
-        # Drained-not-cancelled chunks were merged, not abandoned as
-        # sidecar files.
-        assert not glob.glob(str(tmp_path / "*.wchunk-*"))
+        # Drained-not-cancelled chunks were written, and nothing but the
+        # store's own files sits beside it.
+        assert not stray_store_files(path)
 
         with CrawlStore(path) as store:
             resumed = CrawlerPool(web, workers=2, backend="process").run(

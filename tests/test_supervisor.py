@@ -7,23 +7,23 @@ Three layers, matching the module split:
   exoneration, the watchdog deadline math and the rebuild budget are
   unit-tested event-by-event.
 * :class:`~repro.crawler.chaos.ChaosPolicy` planning and marker state are
-  tested without firing anything (firing ``os._exit`` in-process would
-  kill pytest).
+  tested without a real failure (a hang's sleep is recorded, not slept;
+  firing ``os._exit`` in-process would kill pytest).
 * Integration tests run real chaos-injected crawls on the process
   backend and assert the dataset is byte-identical to the crash-free
   baseline — modulo exactly the quarantined poison ranks — which is the
   supervisor's core contract.
 """
 
-import glob
 import sqlite3
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro.crawler.chaos as chaos_mod
 from repro.crawler.chaos import ChaosPolicy
 from repro.crawler.pool import CrawlerPool
-from repro.crawler.storage import CrawlStore
+from repro.crawler.storage import CrawlStore, export_jsonl
 from repro.crawler.supervisor import (
     POISON_VISIT,
     ChunkSupervisor,
@@ -32,6 +32,7 @@ from repro.crawler.supervisor import (
     SupervisorConfig,
 )
 from repro.crawler.telemetry import CrawlTelemetry
+from repro.experiments.chaos_drill import stray_store_files
 from repro.synthweb.generator import SyntheticWeb
 
 
@@ -73,7 +74,6 @@ class TestSupervisorConfig:
         {"watchdog_factor": 0.0},
         {"watchdog_floor_seconds": 0.0},
         {"watchdog_poll_seconds": -0.1},
-        {"merge_attempts": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -162,15 +162,6 @@ class TestChunkSupervisor:
         assert err.events[-1]["event"] == "budget-exhausted"
         assert "resume=True" in str(err)
 
-    def test_merge_failure_spends_no_rebuild(self):
-        sup = ChunkSupervisor(SupervisorConfig())
-        plan = sup.on_merge_failure((10, 11), detail="disk flake")
-        assert plan.requeue == ((10, 11),)
-        assert sup.rebuilds == 0
-        assert sup.events[-1]["event"] == "merge-failure"
-        sup.note_merge_retry()
-        assert sup.merge_retries == 1
-
     def test_watchdog_deadline_math(self):
         config = SupervisorConfig(watchdog_factor=10.0,
                                   watchdog_floor_seconds=30.0)
@@ -206,8 +197,7 @@ class TestChunkSupervisor:
         assert set(stats) == {
             "rebuilds", "max_pool_rebuilds", "requeued_chunks",
             "requeued_ranks", "bisections", "exonerations",
-            "watchdog_hangs", "merge_retries", "quarantined_ranks",
-            "events"}
+            "watchdog_hangs", "quarantined_ranks", "events"}
         assert stats["rebuilds"] == 0
         assert stats["events"] == []
 
@@ -215,7 +205,7 @@ class TestChunkSupervisor:
 class TestChaosPolicy:
     def test_plan_is_deterministic_and_staged(self):
         kwargs = dict(seed=97, kills=3, hangs=1, poisons=1,
-                      merge_errors=1, state_dir="unused-dir")
+                      state_dir="unused-dir")
         one = ChaosPolicy.plan(1000, **kwargs)
         two = ChaosPolicy.plan(1000, **kwargs)
         assert one == two
@@ -223,10 +213,10 @@ class TestChaosPolicy:
         # hangs in the last quarter: the crash storm (and its
         # pipeline-draining probation probes) resolves before any hang
         # chunk flies, so watchdog_hangs is deterministic.
-        crashes = one.kill_ranks + one.poison_ranks + one.merge_error_ranks
+        crashes = one.kill_ranks + one.poison_ranks
         assert all(rank < 500 for rank in crashes)
         assert all(rank >= 750 for rank in one.hang_ranks)
-        assert len(set(crashes + one.hang_ranks)) == 6
+        assert len(set(crashes + one.hang_ranks)) == 5
 
     def test_plan_rejects_overfull_spans(self):
         with pytest.raises(ValueError, match="cannot place"):
@@ -242,23 +232,23 @@ class TestChaosPolicy:
         # Poison is always-on; it needs no marker state.
         assert ChaosPolicy(poison_ranks=(3,)).poison_ranks == (3,)
 
-    def test_markers_fire_once_and_are_durable(self, tmp_path):
-        policy = ChaosPolicy(merge_error_ranks=(5,),
+    def test_markers_fire_once_and_are_durable(self, tmp_path,
+                                               monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(chaos_mod.time, "sleep", sleeps.append)
+        policy = ChaosPolicy(hang_ranks=(5,), hang_seconds=0.01,
                              state_dir=str(tmp_path))
-        with pytest.raises(sqlite3.OperationalError):
-            policy.before_merge([4, 5, 6])
-        # The marker survives: a retry (or a fresh worker process) sees
+        policy.on_chunk([4, 5, 6])
+        assert sleeps == [0.01]
+        # The marker survives: a replay (or a fresh worker process) sees
         # the injection as already fired.
-        policy.before_merge([4, 5, 6])
-        reloaded = ChaosPolicy(merge_error_ranks=(5,),
+        policy.on_chunk([4, 5, 6])
+        reloaded = ChaosPolicy(hang_ranks=(5,), hang_seconds=0.01,
                                state_dir=str(tmp_path))
-        reloaded.before_merge([4, 5, 6])
-        assert policy.fired()["merge"] == (5,)
-        assert policy.planned()["merge"] == (5,)
-
-
-def no_sidecars(directory) -> bool:
-    return not glob.glob(str(directory / "*.wchunk-*"))
+        reloaded.on_chunk([4, 5, 6])
+        assert sleeps == [0.01]
+        assert policy.fired()["hang"] == (5,)
+        assert policy.planned()["hang"] == (5,)
 
 
 class TestSupervisedCrawls:
@@ -292,7 +282,7 @@ class TestSupervisedCrawls:
         assert stats["requeued_ranks"] >= 1
         assert stats["quarantined_ranks"] == []
         assert chaos.fired()["kill"] == (5,)
-        assert no_sidecars(tmp_path)
+        assert not stray_store_files(tmp_path / "kill.sqlite")
         assert not telemetry.snapshot().quarantined_ranks
 
     def test_poison_rank_is_isolated_and_quarantined(self, web, baseline,
@@ -318,7 +308,7 @@ class TestSupervisedCrawls:
             (poison, POISON_VISIT)]
         snap = telemetry.snapshot()
         assert snap.quarantined_ranks == (poison,)
-        assert no_sidecars(tmp_path)
+        assert not stray_store_files(tmp_path / "poison.sqlite")
 
     def test_resume_skips_poison_quarantined_ranks(self, web, baseline,
                                                    tmp_path):
@@ -364,20 +354,40 @@ class TestSupervisedCrawls:
         assert stats["quarantined_ranks"] == []
         assert chaos.fired()["hang"] == (3,)
 
-    def test_merge_error_is_retried(self, web, baseline, tmp_path):
-        chaos = ChaosPolicy(merge_error_ranks=(8,),
-                            state_dir=str(tmp_path / "state"))
-        with CrawlStore(tmp_path / "merge.sqlite") as store:
+    def test_store_write_error_raises_then_resume_completes(
+            self, web, tmp_path, monkeypatch):
+        # A failing write to the store ends the run, as on the serial
+        # path; the store keeps the chunks written before it and a resume
+        # completes to the serial crawl's exact bytes.
+        serial = tmp_path / "serial.jsonl"
+        export_jsonl(CrawlerPool(web, workers=1, backend="serial")
+                     .run().visits, serial)
+        write_rows = CrawlStore.write_rows
+        calls = []
+
+        def failing_second_write(store, rows):
+            calls.append(len(rows))
+            if len(calls) == 2:
+                raise sqlite3.OperationalError("disk I/O error")
+            return write_rows(store, rows)
+
+        path = tmp_path / "write-error.sqlite"
+        with CrawlStore(path) as store:
             pool = CrawlerPool(web, workers=2, backend="process")
-            dataset = pool.run(store=store, chaos=chaos,
-                               supervisor=fast_config())
-            stored = store.stored_ranks()
-        assert dataset.visits == baseline.visits
-        assert stored == set(range(40))
-        stats = pool.last_supervisor_stats
-        assert stats["merge_retries"] >= 1
-        assert stats["rebuilds"] == 0  # the pool never broke
-        assert no_sidecars(tmp_path)
+            with monkeypatch.context() as patch:
+                patch.setattr(CrawlStore, "write_rows", failing_second_write)
+                with pytest.raises(sqlite3.OperationalError,
+                                   match="disk I/O"):
+                    pool.run(store=store, collect=False,
+                             supervisor=fast_config())
+            assert len(store.stored_ranks()) == calls[0]
+            assert pool.last_supervisor_stats["rebuilds"] == 0
+            CrawlerPool(web, workers=2, backend="process").run(
+                store=store, resume=True, collect=False)
+            resumed = tmp_path / "resumed.jsonl"
+            export_jsonl(store, resumed)
+        assert resumed.read_bytes() == serial.read_bytes()
+        assert not stray_store_files(path)
 
     def test_budget_exhaustion_raises_then_resume_completes(
             self, web, baseline, tmp_path):
@@ -394,7 +404,7 @@ class TestSupervisedCrawls:
         assert poison in err.lost_ranks
         # The stats survive the failure for post-mortems.
         assert pool.last_supervisor_stats["rebuilds"] == err.rebuilds
-        assert no_sidecars(tmp_path)
+        assert not stray_store_files(path)
         # A resume with a real budget quarantines the poison and
         # completes to the baseline minus that rank.
         with CrawlStore(path) as store:
@@ -409,7 +419,7 @@ class TestSupervisedCrawls:
                                                         baseline,
                                                         tmp_path):
         # With the default budget of 0 rebuilds the crash is fatal — but
-        # the crash path still sweeps sidecar wreckage, so the checkpoint
+        # a dead worker leaves no file beside the store, so the checkpoint
         # directory stays clean for resume.
         chaos = ChaosPolicy(kill_ranks=(5,),
                             state_dir=str(tmp_path / "state"))
@@ -419,7 +429,7 @@ class TestSupervisedCrawls:
             with pytest.raises(BrokenProcessPool):
                 pool.run(store=store, chaos=chaos)
         assert pool.last_supervisor_stats["max_pool_rebuilds"] == 0
-        assert no_sidecars(tmp_path)
+        assert not stray_store_files(path)
         # The kill was once-only; a plain unsupervised resume completes.
         with CrawlStore(path) as store:
             resumed = CrawlerPool(web, workers=2, backend="process").run(
