@@ -22,59 +22,31 @@ See DESIGN.md for the module map and EXPERIMENTS.md for paper-vs-measured
 results on every table and figure.
 """
 
-from repro.analysis.delegation import DelegationAnalysis
-from repro.analysis.headers import HeaderAnalysis
-from repro.analysis.index import DatasetIndex
-from repro.analysis.overpermission import OverPermissionAnalysis
-from repro.analysis.summary import MeasurementSummary, summarize
-from repro.analysis.usage import UsageAnalysis
-from repro.crawler.crawler import CrawlConfig, Crawler
-from repro.crawler.fetcher import SyntheticFetcher
-from repro.crawler.pool import CrawlDataset, CrawlerPool
-from repro.crawler.resilience import FaultInjectingFetcher, RetryPolicy
-from repro.crawler.storage import CrawlStore
-from repro.crawler.telemetry import CrawlTelemetry
-from repro.policy.engine import PermissionsPolicyEngine, PolicyFrame
-from repro.policy.header import parse_permissions_policy_header
-from repro.policy.linter import HeaderLinter
-from repro.registry.features import DEFAULT_REGISTRY, PermissionRegistry
-from repro.registry.support import default_support_matrix
-from repro.synthweb.generator import SyntheticWeb
-from repro.tools.header_generator import HeaderGenerator, HeaderPreset
-from repro.tools.poc import LocalSchemePoC
-from repro.tools.recommender import PolicyRecommender
-from repro.tools.support_site import SupportSiteReport
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CrawlConfig",
-    "CrawlDataset",
-    "CrawlStore",
-    "CrawlTelemetry",
-    "Crawler",
-    "CrawlerPool",
-    "DEFAULT_REGISTRY",
-    "DatasetIndex",
-    "DelegationAnalysis",
-    "FaultInjectingFetcher",
-    "HeaderAnalysis",
-    "HeaderGenerator",
-    "HeaderLinter",
-    "HeaderPreset",
-    "LocalSchemePoC",
-    "MeasurementSummary",
-    "OverPermissionAnalysis",
-    "PermissionRegistry",
-    "PermissionsPolicyEngine",
-    "PolicyFrame",
-    "PolicyRecommender",
-    "RetryPolicy",
-    "SupportSiteReport",
-    "SyntheticFetcher",
-    "SyntheticWeb",
-    "UsageAnalysis",
-    "default_support_matrix",
-    "parse_permissions_policy_header",
-    "summarize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.delegation": ("DelegationAnalysis",),
+    "repro.analysis.headers": ("HeaderAnalysis",),
+    "repro.analysis.index": ("DatasetIndex",),
+    "repro.analysis.overpermission": ("OverPermissionAnalysis",),
+    "repro.analysis.summary": ("MeasurementSummary", "summarize"),
+    "repro.analysis.usage": ("UsageAnalysis",),
+    "repro.crawler.crawler": ("CrawlConfig", "Crawler"),
+    "repro.crawler.fetcher": ("SyntheticFetcher",),
+    "repro.crawler.pool": ("CrawlDataset", "CrawlerPool"),
+    "repro.crawler.resilience": ("FaultInjectingFetcher", "RetryPolicy"),
+    "repro.crawler.storage": ("CrawlStore",),
+    "repro.crawler.telemetry": ("CrawlTelemetry",),
+    "repro.policy.engine": ("PermissionsPolicyEngine", "PolicyFrame"),
+    "repro.policy.header": ("parse_permissions_policy_header",),
+    "repro.policy.linter": ("HeaderLinter",),
+    "repro.registry.features": ("DEFAULT_REGISTRY", "PermissionRegistry"),
+    "repro.registry.support": ("default_support_matrix",),
+    "repro.synthweb.generator": ("SyntheticWeb",),
+    "repro.tools.header_generator": ("HeaderGenerator", "HeaderPreset"),
+    "repro.tools.poc": ("LocalSchemePoC",),
+    "repro.tools.recommender": ("PolicyRecommender",),
+    "repro.tools.support_site": ("SupportSiteReport",),
+})

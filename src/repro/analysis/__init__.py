@@ -26,61 +26,32 @@ every aggregate of the paper's Section 4 and 5:
   :mod:`repro.analysis.drift_report`.
 """
 
-from repro.analysis.categories import DelegationPurpose, purpose_clusters
-from repro.analysis.chains import NestedDelegationAnalysis, rebuild_policy_frames
-from repro.analysis.delegation import DelegationAnalysis
-from repro.analysis.drift import (
-    CrawlDiff,
-    DriftTimeline,
-    StoreMetrics,
-    build_timeline,
-    diff_stores,
-    profile_store,
-)
-from repro.analysis.index import DatasetIndex, VisitIndex, as_index
-from repro.analysis.fingerprinting import fingerprint_surface
-from repro.analysis.landing_bias import LandingBiasReport, measure_landing_bias
-from repro.analysis.headers import HeaderAnalysis
-from repro.analysis.overpermission import OverPermissionAnalysis
-from repro.analysis.parties import Party, classify_call_party
-from repro.analysis.proposals import (
-    evaluate_default_disallow_all,
-    local_scheme_attack_surface,
-)
-from repro.analysis.prompts_analysis import PromptAnalysis
-from repro.analysis.ranks import RankBucketAnalysis
-from repro.analysis.summary import MeasurementSummary, summarize
-from repro.analysis.usage import UsageAnalysis
-from repro.analysis.violations import ViolationAnalysis
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CrawlDiff",
-    "DatasetIndex",
-    "DelegationAnalysis",
-    "DelegationPurpose",
-    "DriftTimeline",
-    "HeaderAnalysis",
-    "VisitIndex",
-    "MeasurementSummary",
-    "LandingBiasReport",
-    "NestedDelegationAnalysis",
-    "PromptAnalysis",
-    "RankBucketAnalysis",
-    "OverPermissionAnalysis",
-    "Party",
-    "StoreMetrics",
-    "UsageAnalysis",
-    "ViolationAnalysis",
-    "as_index",
-    "build_timeline",
-    "classify_call_party",
-    "diff_stores",
-    "evaluate_default_disallow_all",
-    "fingerprint_surface",
-    "local_scheme_attack_surface",
-    "measure_landing_bias",
-    "profile_store",
-    "purpose_clusters",
-    "rebuild_policy_frames",
-    "summarize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.analysis.categories": ("DelegationPurpose", "purpose_clusters"),
+    "repro.analysis.chains": (
+        "NestedDelegationAnalysis", "rebuild_policy_frames",
+    ),
+    "repro.analysis.delegation": ("DelegationAnalysis",),
+    "repro.analysis.drift": (
+        "CrawlDiff", "DriftTimeline", "StoreMetrics", "build_timeline",
+        "diff_stores", "profile_store",
+    ),
+    "repro.analysis.index": ("DatasetIndex", "VisitIndex", "as_index"),
+    "repro.analysis.fingerprinting": ("fingerprint_surface",),
+    "repro.analysis.landing_bias": (
+        "LandingBiasReport", "measure_landing_bias",
+    ),
+    "repro.analysis.headers": ("HeaderAnalysis",),
+    "repro.analysis.overpermission": ("OverPermissionAnalysis",),
+    "repro.analysis.parties": ("Party", "classify_call_party"),
+    "repro.analysis.proposals": (
+        "evaluate_default_disallow_all", "local_scheme_attack_surface",
+    ),
+    "repro.analysis.prompts_analysis": ("PromptAnalysis",),
+    "repro.analysis.ranks": ("RankBucketAnalysis",),
+    "repro.analysis.summary": ("MeasurementSummary", "summarize"),
+    "repro.analysis.usage": ("UsageAnalysis",),
+    "repro.analysis.violations": ("ViolationAnalysis",),
+})

@@ -11,22 +11,23 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from repro.analysis.delegation import DelegationAnalysis
 from repro.analysis.headers import HeaderAnalysis
 from repro.analysis.index import DatasetIndex, IncrementalIndex
 from repro.analysis.overpermission import OverPermissionAnalysis
 from repro.analysis.usage import UsageAnalysis
-from repro.crawler.pool import CrawlDataset
 from repro.crawler.records import SiteVisit
 from repro.obs.tracing import TRACER
 from repro.policy.allow_attr import DelegationDirectiveKind
 from repro.policy.allowlist import DirectiveClass
 from repro.registry.features import PermissionRegistry
 from repro.synthweb.distributions import PAPER
+
+if TYPE_CHECKING:  # pragma: no cover - the store read path loads no crawler
+    from repro.crawler.pool import CrawlDataset
 
 logger = logging.getLogger(__name__)
 
@@ -117,47 +118,35 @@ class MeasurementSummary:
         ]
 
 
-def summarize(dataset: CrawlDataset, *, parallel: bool = True,
+def summarize(dataset: CrawlDataset, *, parallel: bool = False,
               index: DatasetIndex | None = None) -> MeasurementSummary:
     """Run every analysis over ``dataset`` and collect the headline
     aggregates.
 
     The visits are indexed once (:class:`~repro.analysis.index.DatasetIndex`)
-    and the four analyses share that index.  They are independent of each
-    other, so with ``parallel=True`` they run on a small thread pool — the
-    index is read-only at that point, making the fan-out race-free.  Pass a
-    prebuilt ``index`` to reuse one across calls (as
-    :class:`~repro.experiments.runner.ExperimentContext` does).  Serial and
-    parallel runs produce field-identical summaries.
+    and the four analyses run serially over that index.  Pass a prebuilt
+    ``index`` to reuse one across calls (as
+    :class:`~repro.experiments.runner.ExperimentContext` does).
+    ``parallel`` is accepted only as ``False``: to spread a summary over
+    cores, store the crawl and use :func:`summarize_streaming` with
+    ``workers=``.
     """
+    if parallel:
+        raise ValueError(
+            "summarize() runs serially; for a multi-core summary use "
+            "summarize_streaming(store, workers=N) over a stored crawl")
     if index is None:
         index = DatasetIndex(dataset)
 
     def build(name: str, analysis_cls):
-        # Thread-pool futures run on worker threads, so each span becomes
-        # its own root labelled by the analysis it timed.
         with TRACER.span(f"analysis.{name}"):
             return analysis_cls(index)
 
-    with TRACER.span("analysis.summarize", parallel=parallel,
-                     visits=index.website_count):
-        if parallel:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                usage_future = pool.submit(build, "usage", UsageAnalysis)
-                delegation_future = pool.submit(build, "delegation",
-                                                DelegationAnalysis)
-                headers_future = pool.submit(build, "headers", HeaderAnalysis)
-                overpermission_future = pool.submit(build, "overpermission",
-                                                    OverPermissionAnalysis)
-                usage = usage_future.result()
-                delegation = delegation_future.result()
-                headers = headers_future.result()
-                overpermission = overpermission_future.result()
-        else:
-            usage = build("usage", UsageAnalysis)
-            delegation = build("delegation", DelegationAnalysis)
-            headers = build("headers", HeaderAnalysis)
-            overpermission = build("overpermission", OverPermissionAnalysis)
+    with TRACER.span("analysis.summarize", visits=index.website_count):
+        usage = build("usage", UsageAnalysis)
+        delegation = build("delegation", DelegationAnalysis)
+        headers = build("headers", HeaderAnalysis)
+        overpermission = build("overpermission", OverPermissionAnalysis)
     return _finish_summary(
         attempted_sites=dataset.attempted,
         successful_sites=dataset.successful_count,

@@ -17,46 +17,21 @@ dynamic API instrumentation (Figure 1), and the permission prompt model.
 * :mod:`repro.browser.prompts` — the permission prompt decision model.
 """
 
-from repro.browser.api import (
-    ApiKind,
-    ApiSpec,
-    APISurface,
-    DEFAULT_API_SURFACE,
-    allowed_features_call,
-    feature_policy_allows_call,
-    invoke_call,
-    query_call,
-)
-from repro.browser.dom import Document, FrameTree, IframeElement
-from repro.browser.instrumentation import (
-    InstrumentedRuntime,
-    InvocationRecord,
-    WebAPIRuntime,
-)
-from repro.browser.page import Page, PageLoader
-from repro.browser.prompts import PermissionPrompt, PromptModel, PromptOutcome
-from repro.browser.scripts import ApiCall, Script
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ApiCall",
-    "ApiKind",
-    "ApiSpec",
-    "APISurface",
-    "DEFAULT_API_SURFACE",
-    "Document",
-    "FrameTree",
-    "IframeElement",
-    "InstrumentedRuntime",
-    "InvocationRecord",
-    "Page",
-    "PageLoader",
-    "PermissionPrompt",
-    "PromptModel",
-    "PromptOutcome",
-    "Script",
-    "WebAPIRuntime",
-    "allowed_features_call",
-    "feature_policy_allows_call",
-    "invoke_call",
-    "query_call",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.browser.api": (
+        "ApiKind", "ApiSpec", "APISurface", "DEFAULT_API_SURFACE",
+        "allowed_features_call", "feature_policy_allows_call", "invoke_call",
+        "query_call",
+    ),
+    "repro.browser.dom": ("Document", "FrameTree", "IframeElement"),
+    "repro.browser.instrumentation": (
+        "InstrumentedRuntime", "InvocationRecord", "WebAPIRuntime",
+    ),
+    "repro.browser.page": ("Page", "PageLoader"),
+    "repro.browser.prompts": (
+        "PermissionPrompt", "PromptModel", "PromptOutcome",
+    ),
+    "repro.browser.scripts": ("ApiCall", "Script"),
+})

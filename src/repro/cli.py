@@ -47,22 +47,19 @@ import sys
 from collections import Counter
 from contextlib import ExitStack
 
-from repro.analysis.report import render_comparison
-from repro.analysis.summary import summarize
-from repro.crawler.backends import FaultInjectionSpec
-from repro.crawler.fetcher import SyntheticFetcher
-from repro.crawler.pool import BACKENDS, CrawlerPool
-from repro.crawler.resilience import RetryPolicy
-from repro.crawler.storage import CrawlStore
-from repro.crawler.telemetry import CrawlTelemetry
-from repro.experiments.runner import run_measurement
-from repro.experiments.tables import ALL_EXPERIMENTS
-from repro.policy.linter import HeaderLinter
-from repro.synthweb.generator import SyntheticWeb
-from repro.tools.header_generator import HeaderGenerator, HeaderPreset
-from repro.tools.poc import LocalSchemePoC
-from repro.tools.recommender import PolicyRecommender
-from repro.tools.support_site import SupportSiteReport
+# Each command imports what it runs, inside its branch of main(), so a
+# store check does not pay for the crawler (DESIGN.md §3).  The parser's
+# choices are literals for the same reason; tests/test_lazy_exports.py
+# pins them to crawler.pool.BACKENDS, experiments.tables.ALL_EXPERIMENTS
+# and tools.header_generator.HeaderPreset.
+BACKENDS = ("auto", "serial", "process")
+EXPERIMENTS = (
+    "table01", "table02", "crawl_overview", "table03", "table04", "table05",
+    "table06", "table07", "table08", "delegation_directives", "fig02",
+    "table09", "header_misconfig", "table10", "livechat", "table11",
+    "table12", "fig01", "fig03", "fig04", "summary",
+)
+HEADER_PRESETS = ("disable-all", "disable-powerful")
 
 
 def _rate(value: str) -> float:
@@ -156,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment",
                                 help="regenerate a paper table/figure")
-    experiment.add_argument("name", choices=[*ALL_EXPERIMENTS, "all"])
+    experiment.add_argument("name", choices=[*EXPERIMENTS, "all"])
     experiment.add_argument("--sites", type=int, default=None)
     experiment.add_argument("--no-cache", action="store_true",
                             help="ignore the persistent measurement cache "
@@ -166,8 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate-header",
                          help="build a Permissions-Policy header (Figure 4)")
-    gen.add_argument("--preset", choices=[p.value for p in HeaderPreset],
-                     default=HeaderPreset.DISABLE_POWERFUL.value)
+    gen.add_argument("--preset", choices=list(HEADER_PRESETS),
+                     default="disable-powerful")
 
     lint = sub.add_parser("lint-header", help="lint a header value")
     lint.add_argument("value")
@@ -338,6 +335,15 @@ def main(argv: list[str] | None = None) -> int:
             format="%(asctime)s %(levelname)s %(name)s: %(message)s")
 
     if command == "crawl":
+        # Loaded before pool.run forks the process workers, with the
+        # backend it imports, so each worker starts with every module it
+        # runs (records, storage's row encoder) already in memory.
+        from repro.crawler.pool import CrawlerPool
+        from repro.crawler.resilience import RetryPolicy
+        from repro.crawler.storage import CrawlStore
+        from repro.crawler.telemetry import CrawlTelemetry
+        from repro.synthweb.generator import SyntheticWeb
+
         web = SyntheticWeb(args.sites, seed=args.seed)
         retry_policy = (RetryPolicy(max_retries=args.retries)
                         if args.retries > 0 else None)
@@ -404,6 +410,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if command == "telemetry":
+        from repro.crawler.backends import FaultInjectionSpec
+        from repro.crawler.pool import CrawlerPool
+        from repro.crawler.resilience import RetryPolicy
+        from repro.crawler.telemetry import CrawlTelemetry
+        from repro.synthweb.generator import SyntheticWeb
+
         web = SyntheticWeb(args.sites, seed=args.seed)
         # A picklable spec instead of a closure so --backend process works.
         fetcher_spec = None
@@ -445,6 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     if command == "verify-store":
         import json as _json
 
+        from repro.crawler.storage import CrawlStore
         with CrawlStore(args.database) as store:
             report = store.verify(repair=args.repair)
         print(_json.dumps(report.to_json(), indent=2) if args.json
@@ -497,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if command == "export-jsonl":
-        from repro.crawler.storage import export_jsonl
+        from repro.crawler.storage import CrawlStore, export_jsonl
         with CrawlStore(args.database) as store:
             # Given the store, the writer streams each row's checksummed
             # payload verbatim in rank order: bounded memory, no decode,
@@ -507,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if command == "import-jsonl":
-        from repro.crawler.storage import JsonlStats, iter_jsonl
+        from repro.crawler.storage import CrawlStore, JsonlStats, iter_jsonl
         stats = JsonlStats()
         with CrawlStore(args.database) as store:
             store.save_visits(iter_jsonl(args.input, on_error="skip",
@@ -519,8 +532,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if command == "analyze":
+        from repro.analysis.report import render_comparison
         if args.database:
             from repro.analysis.summary import summarize_streaming
+            from repro.crawler.storage import CrawlStore
             with CrawlStore(args.database) as store:
                 # One streaming pass (or one per worker process with
                 # --workers >1): the store never has to fit in memory.
@@ -530,6 +545,9 @@ def main(argv: list[str] | None = None) -> int:
                   "streams rank spans from a stored crawl", file=sys.stderr)
             return 2
         else:
+            from repro.analysis.summary import summarize
+            from repro.crawler.pool import CrawlerPool
+            from repro.synthweb.generator import SyntheticWeb
             web = SyntheticWeb(args.sites, seed=args.seed)
             dataset = CrawlerPool(web, workers=4).run()
             summary = summarize(dataset)
@@ -537,6 +555,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if command == "experiment":
+        from repro.experiments.runner import run_measurement
+        from repro.experiments.tables import ALL_EXPERIMENTS
         ctx = run_measurement(args.sites, use_cache=not args.no_cache)
         names = list(ALL_EXPERIMENTS) if args.name == "all" else [args.name]
         failed = 0
@@ -549,15 +569,18 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if failed else 0
 
     if command == "support":
+        from repro.tools.support_site import SupportSiteReport
         print(SupportSiteReport().render())
         return 0
 
     if command == "generate-header":
+        from repro.tools.header_generator import HeaderGenerator, HeaderPreset
         generator = HeaderGenerator()
         print(generator.generate_preset(HeaderPreset(args.preset)))
         return 0
 
     if command == "lint-header":
+        from repro.policy.linter import HeaderLinter
         report = HeaderLinter().lint(args.value)
         if report.header_dropped:
             print("FATAL: the browser drops this header entirely")
@@ -569,6 +592,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if report.findings else 0
 
     if command == "recommend":
+        from repro.crawler.fetcher import SyntheticFetcher
+        from repro.synthweb.generator import SyntheticWeb
+        from repro.tools.recommender import PolicyRecommender
         web = SyntheticWeb(args.sites, seed=args.seed)
         recommender = PolicyRecommender(SyntheticFetcher(web))
         recommendation = recommender.recommend(web.origin_for_rank(args.rank))
@@ -587,11 +613,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if command == "poc":
+        from repro.tools.poc import LocalSchemePoC
         poc = LocalSchemePoC(csp=args.csp, scheme=args.scheme)
         print(poc.report())
         return 0 if poc.demonstrates_issue() else 1
 
     if command == "export-list":
+        from repro.synthweb.generator import SyntheticWeb
         web = SyntheticWeb(args.sites, seed=args.seed)
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write("rank,origin\n")
@@ -620,6 +648,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if command == "widget-report":
+        from repro.crawler.pool import CrawlerPool
+        from repro.synthweb.generator import SyntheticWeb
         from repro.tools.widget_report import WidgetReporter
         web = SyntheticWeb(args.sites, seed=args.seed)
         dataset = CrawlerPool(web, workers=4).run()
@@ -634,6 +664,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if command == "export-registry":
         import json
+
+        from repro.tools.support_site import SupportSiteReport
         rows = SupportSiteReport().rows()
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump({"permissions": rows}, handle, indent=2)

@@ -25,74 +25,30 @@
   export/import.
 """
 
-from repro.crawler.backends import (
-    FaultInjectionSpec,
-    FetcherSpec,
-    SyntheticFetcherSpec,
-    chunk_ranks,
-)
-from repro.crawler.chaos import ChaosPolicy
-from repro.crawler.crawler import CrawlConfig, Crawler
-from repro.crawler.errors import (
-    CrawlError,
-    EphemeralContentError,
-    FinalUpdateTimeoutError,
-    IncompleteCollectionError,
-    LoadTimeoutError,
-    MinorCrawlerError,
-    UnreachableError,
-)
-from repro.crawler.fetcher import SyntheticFetcher
-from repro.crawler.interaction import InteractionConfig, InteractiveCrawler
-from repro.crawler.pool import CrawlDataset, CrawlerPool
-from repro.crawler.records import (
-    CallRecord,
-    FrameRecord,
-    ScriptSourceRecord,
-    SiteVisit,
-)
-from repro.crawler.resilience import (
-    FaultInjectingFetcher,
-    InjectedCrashError,
-    RetryPolicy,
-)
-from repro.crawler.storage import CrawlStore
-from repro.crawler.supervisor import (
-    PoolCrashError,
-    SupervisorConfig,
-)
-from repro.crawler.telemetry import CrawlTelemetry, TelemetrySnapshot
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CallRecord",
-    "ChaosPolicy",
-    "CrawlConfig",
-    "CrawlDataset",
-    "CrawlError",
-    "CrawlStore",
-    "CrawlTelemetry",
-    "Crawler",
-    "CrawlerPool",
-    "EphemeralContentError",
-    "FaultInjectingFetcher",
-    "FaultInjectionSpec",
-    "FetcherSpec",
-    "FinalUpdateTimeoutError",
-    "FrameRecord",
-    "IncompleteCollectionError",
-    "InjectedCrashError",
-    "InteractionConfig",
-    "InteractiveCrawler",
-    "LoadTimeoutError",
-    "MinorCrawlerError",
-    "PoolCrashError",
-    "RetryPolicy",
-    "ScriptSourceRecord",
-    "SiteVisit",
-    "SupervisorConfig",
-    "SyntheticFetcher",
-    "SyntheticFetcherSpec",
-    "TelemetrySnapshot",
-    "UnreachableError",
-    "chunk_ranks",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.crawler.backends": (
+        "FaultInjectionSpec", "FetcherSpec", "SyntheticFetcherSpec",
+        "chunk_ranks",
+    ),
+    "repro.crawler.chaos": ("ChaosPolicy",),
+    "repro.crawler.crawler": ("CrawlConfig", "Crawler"),
+    "repro.crawler.errors": (
+        "CrawlError", "EphemeralContentError", "FinalUpdateTimeoutError",
+        "IncompleteCollectionError", "LoadTimeoutError", "MinorCrawlerError",
+        "UnreachableError",
+    ),
+    "repro.crawler.fetcher": ("SyntheticFetcher",),
+    "repro.crawler.interaction": ("InteractionConfig", "InteractiveCrawler"),
+    "repro.crawler.pool": ("CrawlDataset", "CrawlerPool"),
+    "repro.crawler.records": (
+        "CallRecord", "FrameRecord", "ScriptSourceRecord", "SiteVisit",
+    ),
+    "repro.crawler.resilience": (
+        "FaultInjectingFetcher", "InjectedCrashError", "RetryPolicy",
+    ),
+    "repro.crawler.storage": ("CrawlStore",),
+    "repro.crawler.supervisor": ("PoolCrashError", "SupervisorConfig"),
+    "repro.crawler.telemetry": ("CrawlTelemetry", "TelemetrySnapshot"),
+})

@@ -53,7 +53,7 @@ from repro.crawler.telemetry import CrawlTelemetry
 from repro.policy.engine import PermissionsPolicyEngine
 from repro.synthweb.generator import SyntheticWeb
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle: storage imports pool
+if TYPE_CHECKING:  # pragma: no cover - typing only; backends imports pool
     from repro.crawler.backends import FetcherSpec
     from repro.crawler.chaos import ChaosPolicy
     from repro.crawler.storage import CrawlStore

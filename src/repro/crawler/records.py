@@ -11,10 +11,12 @@ be persisted, reloaded and re-analysed without the browser substrate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.browser.api import ApiKind
-from repro.browser.page import Page
+
+if TYPE_CHECKING:  # pragma: no cover - the store read path loads no browser
+    from repro.browser.page import Page
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.crawler.integrity import (
     CHECKSUM_MISMATCH,
@@ -46,7 +46,6 @@ from repro.crawler.integrity import (
     _visit_to_dict,
     canonical_visit_bytes,
 )
-from repro.crawler.pool import CrawlDataset
 from repro.obs import metrics as _metrics
 from repro.crawler.records import (
     CallRecord,
@@ -55,6 +54,9 @@ from repro.crawler.records import (
     ScriptSourceRecord,
     SiteVisit,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - the store read path loads no crawler
+    from repro.crawler.pool import CrawlDataset
 
 logger = logging.getLogger(__name__)
 
@@ -314,6 +316,7 @@ class CrawlStore:
         crashes and never sees an altered visit — run
         ``repro verify-store --repair`` to quarantine them properly.
         """
+        from repro.crawler.pool import CrawlDataset
         return CrawlDataset(visits=list(self.iter_visits()))
 
     def _walk(self, corrupt: Counter, batch_size: int,

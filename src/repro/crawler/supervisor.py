@@ -45,7 +45,8 @@ a torn-down warm pool and every finished chunk in the store.  When the
 budget runs out, :class:`PoolCrashError` surfaces with the full event
 history, so nine-day runs fail with a story instead of a bare
 ``BrokenProcessPool``; it subclasses ``BrokenProcessPool`` so callers
-catch one exception type.
+catch one exception type.  Events name a chunk's ranks as
+:func:`rank_runs`, inclusive ``[first, last]`` runs, not rank by rank.
 """
 
 from __future__ import annotations
@@ -134,6 +135,19 @@ class PoolCrashError(BrokenProcessPool):
             f"rebuild budget of {max_pool_rebuilds}; {len(self.lost_ranks)} "
             f"rank(s) in flight ({lost}) — the checkpoint store holds all "
             f"finished chunks, rerun with resume=True")
+
+
+def rank_runs(ranks: "Sequence[int]") -> list[list[int]]:
+    """``ranks`` as inclusive ``[first, last]`` runs of consecutive ranks,
+    in order: ``(3, 4, 5, 9)`` -> ``[[3, 5], [9, 9]]``.  Exact for any
+    sequence, so a resumed chunk with gaps keeps them."""
+    runs: list[list[int]] = []
+    for rank in ranks:
+        if runs and rank == runs[-1][1] + 1:
+            runs[-1][1] = rank
+        else:
+            runs.append([rank, rank])
+    return runs
 
 
 @dataclass(frozen=True)
@@ -257,7 +271,7 @@ class ChunkSupervisor:
             "event": "pool-rebuild", "cause": cause, "rebuild": self.rebuilds,
             "chunks_lost": len(lost),
             "ranks_requeued": sum(len(ranks) for ranks in plan.requeue),
-            "probation": [list(ranks) for ranks in plan.probation],
+            "probation": [rank_runs(ranks) for ranks in plan.probation],
             "quarantined": [rank for rank, _ in plan.quarantine]})
         return plan
 
@@ -269,7 +283,7 @@ class ChunkSupervisor:
         if self._strikes.pop(ranks, None) is not None:
             self.exonerations += 1
             self.events.append({"event": "exonerated",
-                                "ranks": list(ranks)})
+                                "ranks": rank_runs(ranks)})
             if _metrics.COUNTING:
                 _metrics.REGISTRY.counter("supervisor.exonerated").inc()
 

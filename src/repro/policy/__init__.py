@@ -19,35 +19,20 @@ A from-scratch implementation of the mechanisms the paper measures
   detection for deployed headers.
 """
 
-from repro.policy.allow_attr import AllowAttribute, parse_allow_attribute
-from repro.policy.allowlist import Allowlist, AllowlistKeyword
-from repro.policy.engine import PermissionsPolicyEngine, PolicyDecision
-from repro.policy.feature_policy import parse_feature_policy_header
-from repro.policy.header import (
-    HeaderParseError,
-    ParsedPolicyHeader,
-    parse_permissions_policy_header,
-)
-from repro.policy.issues import ParseIssue
-from repro.policy.linter import HeaderLinter, LintFinding, LintSeverity
-from repro.policy.origin import LOCAL_SCHEMES, Origin, site_of
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AllowAttribute",
-    "Allowlist",
-    "AllowlistKeyword",
-    "HeaderLinter",
-    "HeaderParseError",
-    "LintFinding",
-    "LintSeverity",
-    "LOCAL_SCHEMES",
-    "Origin",
-    "ParsedPolicyHeader",
-    "ParseIssue",
-    "PermissionsPolicyEngine",
-    "PolicyDecision",
-    "parse_allow_attribute",
-    "parse_feature_policy_header",
-    "parse_permissions_policy_header",
-    "site_of",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.policy.allow_attr": ("AllowAttribute", "parse_allow_attribute"),
+    "repro.policy.allowlist": ("Allowlist", "AllowlistKeyword"),
+    "repro.policy.engine": (
+        "PermissionsPolicyEngine", "PolicyDecision", "PolicyFrame",
+    ),
+    "repro.policy.feature_policy": ("parse_feature_policy_header",),
+    "repro.policy.header": (
+        "HeaderParseError", "ParsedPolicyHeader",
+        "parse_permissions_policy_header",
+    ),
+    "repro.policy.issues": ("ParseIssue",),
+    "repro.policy.linter": ("HeaderLinter", "LintFinding", "LintSeverity"),
+    "repro.policy.origin": ("LOCAL_SCHEMES", "Origin", "site_of"),
+})

@@ -17,46 +17,19 @@ This subpackage is the in-repo equivalent of that curated list:
   with history queries (the backing data of the paper's Figure 3 site).
 """
 
-from repro.registry.browsers import (
-    Browser,
-    BrowserEngine,
-    BrowserRelease,
-    CHROMIUM,
-    FIREFOX,
-    SAFARI,
-    default_releases,
-)
-from repro.registry.features import (
-    DEFAULT_REGISTRY,
-    DefaultAllowlist,
-    Permission,
-    PermissionCategory,
-    PermissionRegistry,
-    UnknownPermissionError,
-)
-from repro.registry.support import (
-    SupportEntry,
-    SupportMatrix,
-    SupportStatus,
-    default_support_matrix,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Browser",
-    "BrowserEngine",
-    "BrowserRelease",
-    "CHROMIUM",
-    "FIREFOX",
-    "SAFARI",
-    "DEFAULT_REGISTRY",
-    "DefaultAllowlist",
-    "Permission",
-    "PermissionCategory",
-    "PermissionRegistry",
-    "UnknownPermissionError",
-    "SupportEntry",
-    "SupportMatrix",
-    "SupportStatus",
-    "default_releases",
-    "default_support_matrix",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.registry.browsers": (
+        "Browser", "BrowserEngine", "BrowserRelease", "CHROMIUM", "FIREFOX",
+        "SAFARI", "default_releases",
+    ),
+    "repro.registry.features": (
+        "DEFAULT_REGISTRY", "DefaultAllowlist", "Permission",
+        "PermissionCategory", "PermissionRegistry", "UnknownPermissionError",
+    ),
+    "repro.registry.support": (
+        "SupportEntry", "SupportMatrix", "SupportStatus",
+        "default_support_matrix",
+    ),
+})

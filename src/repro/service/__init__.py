@@ -12,25 +12,14 @@ Routes: ``POST /evaluate``, ``POST /generate-header``,
 for payload shapes.
 """
 
-from repro.service.adapters import ToolAdapters
-from repro.service.cache import (
-    ResponseCache,
-    canonical_request_text,
-    request_key,
-)
-from repro.service.errors import ServiceError, error_from_exception
-from repro.service.ratelimit import ClientRateLimiter, RateLimitConfig
-from repro.service.server import PolicyService, ServiceThread
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ClientRateLimiter",
-    "PolicyService",
-    "RateLimitConfig",
-    "ResponseCache",
-    "ServiceError",
-    "ServiceThread",
-    "ToolAdapters",
-    "canonical_request_text",
-    "error_from_exception",
-    "request_key",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.adapters": ("ToolAdapters",),
+    "repro.service.cache": (
+        "ResponseCache", "canonical_request_text", "request_key",
+    ),
+    "repro.service.errors": ("ServiceError", "error_from_exception"),
+    "repro.service.ratelimit": ("ClientRateLimiter", "RateLimitConfig"),
+    "repro.service.server": ("PolicyService", "ServiceThread"),
+})

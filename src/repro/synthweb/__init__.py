@@ -15,21 +15,15 @@ deterministic generator calibrated to the paper's published marginals
   deterministic in ``(seed, rank)``.
 """
 
-from repro.synthweb.distributions import GeneratorRates, PAPER, PaperMarginals
-from repro.synthweb.eras import Era, measure_era, rates_for_era, transition_curve
-from repro.synthweb.generator import SiteSpec, SyntheticWeb
-from repro.synthweb.profiles import WidgetProfile, default_widget_profiles
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Era",
-    "GeneratorRates",
-    "PAPER",
-    "PaperMarginals",
-    "SiteSpec",
-    "SyntheticWeb",
-    "WidgetProfile",
-    "default_widget_profiles",
-    "measure_era",
-    "rates_for_era",
-    "transition_curve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.synthweb.distributions": (
+        "GeneratorRates", "PAPER", "PaperMarginals",
+    ),
+    "repro.synthweb.eras": (
+        "Era", "measure_era", "rates_for_era", "transition_curve",
+    ),
+    "repro.synthweb.generator": ("SiteSpec", "SyntheticWeb"),
+    "repro.synthweb.profiles": ("WidgetProfile", "default_widget_profiles"),
+})

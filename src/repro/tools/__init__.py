@@ -11,22 +11,13 @@
   concept (Table 11).
 """
 
-from repro.tools.header_generator import HeaderGenerator, HeaderPreset
-from repro.tools.poc import LocalSchemePoC, PoCOutcome
-from repro.tools.recommender import PolicyRecommendation, PolicyRecommender
-from repro.tools.site_generator import SiteGenerator
-from repro.tools.support_site import SupportSiteReport
-from repro.tools.widget_report import WidgetDossier, WidgetReporter
+from repro._exports import lazy_exports
 
-__all__ = [
-    "HeaderGenerator",
-    "HeaderPreset",
-    "LocalSchemePoC",
-    "PoCOutcome",
-    "PolicyRecommendation",
-    "PolicyRecommender",
-    "SiteGenerator",
-    "SupportSiteReport",
-    "WidgetDossier",
-    "WidgetReporter",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.tools.header_generator": ("HeaderGenerator", "HeaderPreset"),
+    "repro.tools.poc": ("LocalSchemePoC", "PoCOutcome"),
+    "repro.tools.recommender": ("PolicyRecommendation", "PolicyRecommender"),
+    "repro.tools.site_generator": ("SiteGenerator",),
+    "repro.tools.support_site": ("SupportSiteReport",),
+    "repro.tools.widget_report": ("WidgetDossier", "WidgetReporter"),
+})

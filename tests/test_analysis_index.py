@@ -50,11 +50,13 @@ class TestIndexedVsLegacy:
             assert getattr(indexed, f.name) == getattr(legacy, f.name), \
                 f"field {f.name} diverged at seed {seed}"
 
-    def test_parallel_identical_to_serial(self):
+    def test_thread_parallel_summarize_rejected(self):
+        # The thread-pool summarize is gone; multi-core summaries stream
+        # rank spans from a store (summarize_streaming(workers=)).
         dataset = crawl(seed=2)
-        serial = summarize(dataset, parallel=False)
-        parallel = summarize(dataset, parallel=True)
-        assert serial == parallel
+        with pytest.raises(ValueError, match="summarize_streaming"):
+            summarize(dataset, parallel=True)
+        assert summarize(dataset, parallel=False) == summarize(dataset)
 
     def test_shared_index_identical_to_fresh(self):
         dataset = crawl(seed=3)

@@ -30,6 +30,7 @@ from repro.crawler.supervisor import (
     PoolCrashError,
     RecoveryPlan,
     SupervisorConfig,
+    rank_runs,
 )
 from repro.crawler.telemetry import CrawlTelemetry
 from repro.experiments.chaos_drill import stray_store_files
@@ -141,7 +142,7 @@ class TestChunkSupervisor:
         sup.on_pool_crash([(7, 8)], cause="worker-crash")
         sup.exonerate((7, 8))
         assert sup.exonerations == 1
-        assert {"event": "exonerated", "ranks": [7, 8]} in sup.events
+        assert {"event": "exonerated", "ranks": [[7, 8]]} in sup.events
         # The record is clean: the next crash is a first strike again.
         plan = sup.on_pool_crash([(7, 8)], cause="worker-crash")
         assert plan.requeue == ((7, 8),)
@@ -149,6 +150,18 @@ class TestChunkSupervisor:
         # Exonerating an unknown chunk is a no-op, not an error.
         sup.exonerate((30, 31))
         assert sup.exonerations == 1
+
+    def test_events_name_ranks_as_runs(self):
+        assert rank_runs((3, 4, 5, 9)) == [[3, 5], [9, 9]]
+        assert rank_runs(()) == []
+        sup = ChunkSupervisor(SupervisorConfig(suspect_strikes=1))
+        # A resumed chunk skips its stored ranks; the runs keep the gap.
+        plan = sup.on_pool_crash([(2, 3, 7, 8, 9)], cause="worker-crash")
+        assert plan.probation == ((2, 3, 7, 8, 9),)
+        assert sup.events[-1]["probation"] == [[[2, 3], [7, 9]]]
+        sup.exonerate((2, 3, 7, 8, 9))
+        assert sup.events[-1] == {"event": "exonerated",
+                                  "ranks": [[2, 3], [7, 9]]}
 
     def test_budget_exhaustion_raises_with_story(self):
         sup = ChunkSupervisor(SupervisorConfig(max_pool_rebuilds=1))
